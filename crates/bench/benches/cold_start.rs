@@ -5,8 +5,10 @@
 //! the NY-like city, then for each shard count measures (a) the
 //! from-scratch index build a cache-less `atsq serve` start pays, and
 //! (b) the snapshot save + validated load that `--index-cache` pays
-//! instead. Every loaded engine is verified to answer a sample of
-//! queries exactly like the built one before its timing counts.
+//! instead (the same single-index snapshot for every shard count; a
+//! sharded start adds the id partition). Every loaded engine is
+//! verified to answer a sample of queries exactly like the built one
+//! before its timing counts.
 //! Prints a table and emits `BENCH_cold_start.json` (path overridable
 //! via `BENCH_OUT`).
 //!
@@ -15,7 +17,9 @@
 //! (comma-separated, default `1,4`), `COLD_START_QUERIES` (default 8).
 
 use atsq_bench::{workload, Setting};
-use atsq_core::{GatConfig, GatEngine, IndexCache, Partition, QueryEngine, ShardedEngine};
+use atsq_core::{
+    Engine, GatConfig, GatEngine, GatIndex, IndexCache, Partition, QueryEngine, ShardedEngine,
+};
 use atsq_datagen::{generate, CityConfig};
 use atsq_types::{Dataset, Query};
 use std::time::Instant;
@@ -59,11 +63,7 @@ fn main() {
 
     let mut sweeps = Vec::new();
     for &shards in &shard_counts {
-        let sweep = if shards <= 1 {
-            single(&cache, &dataset, &queries, setting.k)
-        } else {
-            sharded(&cache, &dataset, shards, &queries, setting.k)
-        };
+        let sweep = sweep(&cache, &dataset, shards, &queries, setting.k);
         println!(
             "{:>8}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>9.1}x",
             sweep.shards,
@@ -102,80 +102,53 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn single(cache: &IndexCache, dataset: &Dataset, queries: &[Query], k: usize) -> Sweep {
-    let t0 = Instant::now();
-    let built = GatEngine::build(dataset).expect("build");
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t0 = Instant::now();
-    let path = cache.save_index(dataset, built.index()).expect("save");
-    let save_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let snapshot_bytes = path.metadata().expect("snapshot metadata").len();
-
-    let t0 = Instant::now();
-    let loaded = cache
-        .load_index(dataset, &GatConfig::default())
-        .expect("load");
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let loaded = GatEngine::from_index(loaded);
-
-    for q in queries {
-        assert_eq!(
-            built.atsq(dataset, q, k),
-            loaded.atsq(dataset, q, k),
-            "loaded single index diverged"
-        );
-        assert_eq!(
-            built.oatsq(dataset, q, k),
-            loaded.oatsq(dataset, q, k),
-            "loaded single index diverged (ordered)"
-        );
-    }
-    Sweep {
-        shards: 1,
-        build_ms,
-        save_ms,
-        load_ms,
-        snapshot_bytes,
+/// The engine `Engine::build_gat` would serve `index` behind.
+fn engine(index: GatIndex, dataset: &Dataset, shards: usize) -> Engine {
+    if shards > 1 {
+        let sharded = ShardedEngine::from_index(index, dataset, shards, Partition::Hash);
+        Engine::Sharded(sharded.expect("shard the index"))
+    } else {
+        Engine::Gat(GatEngine::from_index(index))
     }
 }
 
-fn sharded(
+fn sweep(
     cache: &IndexCache,
     dataset: &Dataset,
     shards: usize,
     queries: &[Query],
     k: usize,
 ) -> Sweep {
-    let partition = Partition::Hash;
     let t0 = Instant::now();
-    let built = ShardedEngine::build(dataset, shards, partition).expect("build sharded");
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let index = GatIndex::build(dataset).expect("build");
+    let index_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
-    let paths = cache.save_sharded(dataset, &built).expect("save sharded");
+    let path = cache.save_index(dataset, &index).expect("save");
     let save_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let snapshot_bytes = paths
-        .iter()
-        .map(|p| p.metadata().expect("snapshot metadata").len())
-        .sum();
+    let snapshot_bytes = path.metadata().expect("snapshot metadata").len();
+
+    let t0 = Instant::now();
+    let built = engine(index, dataset, shards);
+    let build_ms = index_ms + t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
     let loaded = cache
-        .load_sharded(dataset, shards, partition, &GatConfig::default())
-        .expect("load sharded");
+        .load_index(dataset, &GatConfig::default())
+        .expect("load");
+    let loaded = engine(loaded, dataset, shards);
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     for q in queries {
         assert_eq!(
-            built.atsq(q, k),
-            loaded.atsq(q, k),
-            "loaded sharded engine diverged at S={shards}"
+            built.atsq(dataset, q, k),
+            loaded.atsq(dataset, q, k),
+            "loaded engine diverged at S={shards}"
         );
         assert_eq!(
-            built.oatsq(q, k),
-            loaded.oatsq(q, k),
-            "loaded sharded engine diverged at S={shards} (ordered)"
+            built.oatsq(dataset, q, k),
+            loaded.oatsq(dataset, q, k),
+            "loaded engine diverged at S={shards} (ordered)"
         );
     }
     Sweep {

@@ -10,22 +10,20 @@
 //!
 //! Reported per configuration:
 //!
-//! * `*_ms` — measured wall-clock on this host. With the single-pass
-//!   shared traversal, sharded *total* work is ~1× the single index
-//!   (one grid/HICL pass + routing) instead of the legacy ~S×, so
-//!   wall-clock no longer multiplies with S even on few cores.
+//! * `*_ms` — measured wall-clock on this host. Every shard count
+//!   runs the one traversal over the one index, so sharded *total*
+//!   work is that of S=1 plus routing and wall-clock does not
+//!   multiply with S even on few cores.
 //! * `*_wall_ratio` — wall-clock relative to S=1 under the same
 //!   partitioner. The run **asserts** this stays well under S for
-//!   every S>1 sweep point; before the shared traversal the ratio
-//!   trended toward ~S on a saturated host.
-//! * `*_critical_ms` — the per-query critical path: shared (router)
-//!   traversal time plus the busiest shard's verification time. This
+//!   every S>1 sweep point.
+//! * `*_critical_ms` — the per-query critical path: traversal
+//!   (router) time plus the busiest shard's verification time. This
 //!   is the latency a host with one core per shard observes. The
 //!   JSON records `parallelism` so a curve can always be interpreted.
 //! * `candidates_per_shard` — candidates each shard verified during
-//!   the timed ATSQ pass. With shared traversal these **sum** to the
-//!   single traversal's candidate count (ownership attribution)
-//!   rather than duplicating it per shard.
+//!   the timed ATSQ pass; they **sum** to the traversal's candidate
+//!   count (ownership attribution).
 //!
 //! Environment knobs: `SHARD_SCALING_SCALE` (dataset scale, default
 //! 0.006 — the Fig. 7 full-size city), `SHARD_SCALING_QUERIES`
@@ -96,7 +94,7 @@ fn main() {
             let engine = ShardedEngine::build(&dataset, shards, partition).expect("sharded engine");
             verify(&engine, &single, &dataset, &queries, setting.k);
             let atsq = time_ms(&engine, &queries, |q| {
-                std::hint::black_box(engine.atsq(q, setting.k));
+                std::hint::black_box(engine.atsq(&dataset, q, setting.k));
             });
             let candidates_per_shard: Vec<u64> = engine
                 .per_shard_stats()
@@ -104,7 +102,7 @@ fn main() {
                 .map(|s| s.candidates_retrieved)
                 .collect();
             let oatsq = time_ms(&engine, &queries, |q| {
-                std::hint::black_box(engine.oatsq(q, setting.k));
+                std::hint::black_box(engine.oatsq(&dataset, q, setting.k));
             });
             if shards == 1 {
                 base_atsq_ms = atsq.wall_ms;
@@ -124,12 +122,11 @@ fn main() {
                 oatsq.critical_ms,
                 atsq.router_ms + oatsq.router_ms
             );
-            // The point of the shared traversal: total sharded work is
-            // ~1× a single index plus routing, so wall-clock must not
-            // drift toward the legacy ~S× even on a saturated host.
-            // (The bound is deliberately loose — CI boxes are noisy —
-            // but it would have failed the per-shard-traversal design
-            // at every S.)
+            // Total sharded work is that of S=1 plus routing, so
+            // wall-clock must not grow with S even on a saturated
+            // host. (The bound is deliberately loose — CI boxes are
+            // noisy — but a traversal per shard would fail it at
+            // every S.)
             if shards > 1 && !base_atsq_ms.is_nan() {
                 let limit = 0.75 * shards as f64;
                 assert!(
@@ -176,8 +173,8 @@ struct Timing {
 }
 
 /// Average wall-clock and critical-path per query in ms, after one
-/// warm-up pass. The critical path of one query is the shared
-/// (router) traversal plus its busiest shard's verification time;
+/// warm-up pass. The critical path of one query is the traversal
+/// (router) plus its busiest shard's verification time;
 /// per-shard and router busy times are accumulated across the run, so
 /// `router + max(shard)` divided by the query count is the average
 /// critical path when the same shard is busiest on every query
@@ -215,13 +212,13 @@ fn verify(
 ) {
     for q in queries.iter().take(4) {
         assert_eq!(
-            engine.atsq(q, k),
+            engine.atsq(dataset, q, k),
             single.atsq(dataset, q, k),
             "sharded ATSQ diverged at S={}",
             engine.shard_count()
         );
         assert_eq!(
-            engine.oatsq(q, k),
+            engine.oatsq(dataset, q, k),
             single.oatsq(dataset, q, k),
             "sharded OATSQ diverged at S={}",
             engine.shard_count()

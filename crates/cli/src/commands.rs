@@ -4,7 +4,6 @@ use crate::args::parse;
 use crate::CliError;
 use atsq_core::{
     matching, snapshot, CacheOutcome, Engine, GatEngine, IndexCache, Partition, QueryEngine,
-    ShardedEngine,
 };
 use atsq_datagen::CityConfig;
 use atsq_service::{LoadgenConfig, Server, Service, ServiceConfig};
@@ -310,24 +309,19 @@ fn index_build(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let f = parse(argv, &["data", "cache", "shards", "partition"], &[])?;
     let dataset = load_dataset(f.require("data")?)?;
     let cache = IndexCache::new(f.require("cache")?);
-    let (shards, partition) = parse_sharding(&f)?;
+    // Accepted for symmetry with `serve` / `query`; the snapshot is
+    // the same whatever the shard count.
+    parse_sharding(&f)?;
     let hash = dataset.content_hash();
     let t0 = Instant::now();
-    let paths = if shards > 1 {
-        let engine = ShardedEngine::build(&dataset, shards, partition)?;
-        cache.save_sharded(&dataset, &engine)?
-    } else {
-        let index = atsq_core::GatIndex::build(&dataset)?;
-        vec![cache.save_index(&dataset, &index)?]
-    };
+    let index = atsq_core::GatIndex::build(&dataset)?;
+    let path = cache.save_index(&dataset, &index)?;
     let built_ms = t0.elapsed().as_secs_f64() * 1e3;
     writeln!(
         out,
         "built and snapshotted the index for dataset {hash:016x} in {built_ms:.0} ms"
     )?;
-    for p in &paths {
-        writeln!(out, "  wrote {}", p.display())?;
-    }
+    writeln!(out, "  wrote {} (serves any --shards)", path.display())?;
     writeln!(
         out,
         "serve it with: atsq serve --data <snapshot> --index-cache {}",
@@ -1064,17 +1058,16 @@ u2,34.10,-118.30,20,hiking with a view
         let stop = format!("10.0,10.0:{name}");
         let plain = run_ok(&["query", "--data", snap, "--stop", &stop, "--k", "5"]);
 
-        // Build snapshots for the single index and a 2-shard layout.
+        // One snapshot serves the single index and any shard count.
         let msg = run_ok(&["index", "build", "--data", snap, "--cache", cache]);
         assert!(msg.contains("snapshotted"), "{msg}");
         let msg = run_ok(&[
             "index", "build", "--data", snap, "--cache", cache, "--shards", "2",
         ]);
-        assert!(msg.contains("snapshotted"), "{msg}");
+        assert!(msg.contains("serves any --shards"), "{msg}");
         let listing = run_ok(&["index", "inspect", "--cache", cache]);
         assert!(listing.contains("kind index"), "{listing}");
-        assert!(listing.contains("kind manifest"), "{listing}");
-        assert_eq!(listing.lines().count(), 4, "index + manifest + 2 shards");
+        assert_eq!(listing.lines().count(), 1, "one file: {listing}");
 
         // Cached queries load the snapshot and answer identically.
         let cached = run_ok(&[
@@ -1114,10 +1107,7 @@ u2,34.10,-118.30,20,hiking with a view
         let idx_file = std::fs::read_dir(cache)
             .unwrap()
             .map(|e| e.unwrap().path())
-            .find(|p| {
-                p.extension().is_some_and(|e| e == "idx")
-                    && !p.file_name().unwrap().to_str().unwrap().contains("shard")
-            })
+            .find(|p| p.extension().is_some_and(|e| e == "idx"))
             .unwrap();
         let mut bytes = std::fs::read(&idx_file).unwrap();
         let mid = bytes.len() / 2;

@@ -85,9 +85,9 @@ Datasets are `atsq v1` text snapshots (see atsq-io). Activities in
 --stop are names from the dataset vocabulary. With --tips the CSV's
 fifth column is free text and activities are mined from it.
 
---shards S > 1 partitions the dataset into S GAT shards (hash or
-spatial partitioner) searched in parallel with a shared k-th-best
-pruning bound; results are identical to a single index.
+--shards S > 1 splits candidate verification over S lanes of the one
+GAT index (trajectories assigned by the hash or spatial partitioner),
+run in parallel where cores allow; results are identical to S = 1.
 
 --index-cache DIR reads/writes persistent index snapshots keyed by the
 dataset's content hash: `atsq index build` pre-builds them, and `atsq

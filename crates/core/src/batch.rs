@@ -185,17 +185,16 @@ mod tests {
         assert!(with_work > 1, "work attributed to {with_work} sink(s)");
     }
 
-    /// Per-query attribution survives the sharded engine's shared
-    /// traversal: each query's counter delta (router traversal work
-    /// plus owner-shard verification, wherever the threads ran) lands
-    /// in its own sink, and the deltas sum to the engine totals —
-    /// which for the sharded engine include the router's counters.
+    /// Per-query attribution survives the sharded engine's fan-out:
+    /// each query's counter delta (traversal work plus per-lane
+    /// verification, wherever the threads ran) lands in its own sink,
+    /// and the deltas sum to the engine totals — which for the sharded
+    /// engine include the traversal's counters.
     #[test]
     fn sharded_per_query_sinks_attribute_exactly() {
         use crate::{Partition, Profiled, ShardedEngine};
         let dataset = generate(&CityConfig::tiny(9)).unwrap();
         let engine = ShardedEngine::build(&dataset, 4, Partition::Hash).unwrap();
-        assert!(engine.shared_traversal());
         let queries = generate_queries(&dataset, &QueryGenConfig::default(), 10);
         engine.reset_counters();
         let sinks: Vec<_> = queries.iter().map(|_| CounterSink::new()).collect();

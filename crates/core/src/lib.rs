@@ -208,25 +208,26 @@ impl QueryEngine for IrtEngine {
     }
 }
 
-/// The sharded GAT engine behind the common interface. The trait
-/// passes the *global* dataset; the engine answers from its own shard
-/// copies, so only the length is cross-checked.
+/// The sharded GAT engine behind the common interface: the same
+/// search as [`GatEngine`] with candidate verification split over the
+/// engine's lanes. Panics where [`GatEngine`] does (a paged-APL
+/// failure, a dataset other than the one indexed).
 impl QueryEngine for ShardedEngine {
     fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::atsq(self, query, k)
+        self.try_atsq(dataset, query, k)
+            .expect("sharded ATSQ failed")
     }
     fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::oatsq(self, query, k)
+        self.try_oatsq(dataset, query, k)
+            .expect("sharded OATSQ failed")
     }
     fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::atsq_range(self, query, tau)
+        self.try_atsq_range(dataset, query, tau)
+            .expect("sharded range ATSQ failed")
     }
     fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        debug_assert_eq!(dataset.len(), self.len(), "dataset/engine mismatch");
-        ShardedEngine::oatsq_range(self, query, tau)
+        self.try_oatsq_range(dataset, query, tau)
+            .expect("sharded range OATSQ failed")
     }
     fn name(&self) -> &'static str {
         "GAT-SHARDED"
@@ -246,19 +247,21 @@ pub enum Engine {
     Rt(RtEngine),
     /// IR-tree baseline.
     Irt(IrtEngine),
-    /// Sharded parallel GAT (one index per shard, shared k-th-best
-    /// bound). Not part of [`Engine::build_all`]'s paper line-up.
+    /// Sharded parallel GAT (one index, candidate verification split
+    /// over `S` lanes). Not part of [`Engine::build_all`]'s paper
+    /// line-up.
     Sharded(ShardedEngine),
 }
 
 impl Engine {
-    /// Builds the serving engine — a single [`GatEngine`], or a
-    /// [`ShardedEngine`] when `shards > 1` — optionally through a
-    /// persistent [`IndexCache`]. With a cache, a valid snapshot keyed
-    /// by the dataset's content hash is *loaded* (answers are
-    /// byte-identical to a fresh build); a missing, stale or corrupt
-    /// snapshot triggers a fresh build whose snapshot is saved for the
-    /// next start. Returns the engine plus the cache outcome (`None`
+    /// Builds the serving engine — one GAT index behind a
+    /// [`GatEngine`], or behind a [`ShardedEngine`] when `shards > 1` —
+    /// optionally through a persistent [`IndexCache`]. With a cache, a
+    /// valid snapshot keyed by the dataset's content hash is *loaded*
+    /// (answers are byte-identical to a fresh build); a missing, stale
+    /// or corrupt snapshot triggers a fresh build whose snapshot is
+    /// saved for the next start. The snapshot is the same for every
+    /// shard count. Returns the engine plus the cache outcome (`None`
     /// when no cache was used).
     pub fn build_gat(
         dataset: &Dataset,
@@ -266,30 +269,28 @@ impl Engine {
         partition: Partition,
         cache: Option<&IndexCache>,
     ) -> Result<(Engine, Option<CacheOutcome>)> {
-        let config = GatConfig::default();
-        match (cache, shards > 1) {
-            (None, false) => Ok((Engine::Gat(GatEngine::build(dataset)?), None)),
-            (None, true) => Ok((
-                Engine::Sharded(ShardedEngine::build(dataset, shards, partition)?),
-                None,
-            )),
-            (Some(cache), false) => {
-                let (index, outcome) = cache.load_or_build(dataset, config)?;
-                Ok((Engine::Gat(GatEngine::from_index(index)), Some(outcome)))
+        let (index, outcome) = match cache {
+            Some(cache) => {
+                let (index, outcome) = cache.load_or_build(dataset, GatConfig::default())?;
+                (index, Some(outcome))
             }
-            (Some(cache), true) => {
-                let (engine, outcome) =
-                    cache.load_or_build_sharded(dataset, shards, partition, config)?;
-                Ok((Engine::Sharded(engine), Some(outcome)))
-            }
-        }
+            None => (GatIndex::build(dataset)?, None),
+        };
+        let engine = if shards > 1 {
+            Engine::Sharded(ShardedEngine::from_index(
+                index, dataset, shards, partition,
+            )?)
+        } else {
+            Engine::Gat(GatEngine::from_index(index))
+        };
+        Ok((engine, outcome))
     }
 
     /// Estimated resident bytes of the engine itself (the serving
     /// dataset is accounted separately): every index component for
-    /// GAT, and per-shard dataset copies plus indexes for the sharded
-    /// engine. The baselines are not served multi-tenant and report
-    /// zero. Feeds the tenancy layer's memory-budget accountant.
+    /// GAT, plus the id → lane table for the sharded engine. The
+    /// baselines are not served multi-tenant and report zero. Feeds
+    /// the tenancy layer's memory-budget accountant.
     pub fn approx_resident_bytes(&self) -> usize {
         match self {
             Engine::Gat(e) => e.index().memory_report().total_bytes(),
@@ -406,7 +407,9 @@ mod tests {
             assert!(outcome.is_none());
             let (cold, outcome) =
                 Engine::build_gat(&dataset, shards, Partition::Hash, Some(&cache)).unwrap();
-            assert!(!outcome.unwrap().loaded(), "cold cache must build");
+            // One snapshot serves every shard count: only the very
+            // first start finds the cache cold.
+            assert_eq!(outcome.unwrap().loaded(), shards > 1);
             let (warm, outcome) =
                 Engine::build_gat(&dataset, shards, Partition::Hash, Some(&cache)).unwrap();
             assert!(outcome.unwrap().loaded(), "warm cache must load");
@@ -418,6 +421,92 @@ mod tests {
                 assert_eq!(warm.oatsq_range(&dataset, q, 40.0), want);
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cache directory written before sharded engines shared the
+    /// single-index snapshot: a kind-2 manifest plus one index file
+    /// per shard, byte for byte as that build wrote them for this
+    /// dataset at S = 2 (hash). Nothing reads them any more, so the
+    /// first sharded start misses, builds, and saves the one snapshot
+    /// next to them; the listing reports the manifest as `unknown`.
+    #[test]
+    fn legacy_sharded_cache_dir_rebuilds_cleanly() {
+        use atsq_types::{ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
+        const LEGACY: [(&str, &str); 3] = [
+            (
+                "gat-fbb7ee7693c28141-s2-hash-cbe11c6b1.manifest",
+                "41545351534e4150010002004181c29376eeb7fbdca5eba2080000000000\
+                 00000200080604200803",
+            ),
+            (
+                "gat-fbb7ee7693c28141-s2-hash-cbe11c6b1.shard000.idx",
+                "41545351534e41500100010004e5069e702c81a38cfd3b508a0000000000\
+                 0000030304200803000000000000000000000000000000000000000000\
+                 000840000000000000f03f03030200020001030001040300041101020201\
+                 030a0104032a041103060001000100040100010115010001022a01010100\
+                 2e010101013f010101020304000001000400000100040000010003070200\
+                 010001010107020001000101010702000100010101",
+            ),
+            (
+                "gat-fbb7ee7693c28141-s2-hash-cbe11c6b1.shard001.idx",
+                "41545351534e415001000100ee2c88b8ca12ebd68617b9ab520000000000\
+                 0000030304200803000000000000f83f00000000000000000000000000\
+                 000440000000000000f03f03030200010101040110010103010e013a0302\
+                 10010001003a01010100010400000100010702000100010101",
+            ),
+        ];
+        let mut b = DatasetBuilder::new().without_frequency_ranking();
+        let coffee = b.observe_activity("coffee");
+        let art = b.observe_activity("art");
+        for x in [0.0, 1.0, 2.0, 3.0] {
+            b.push_trajectory(vec![
+                TrajectoryPoint::new(Point::new(x, 0.0), ActivitySet::from_ids([coffee])),
+                TrajectoryPoint::new(Point::new(x, 1.0), ActivitySet::from_ids([art])),
+            ]);
+        }
+        let dataset = b.finish().unwrap();
+        assert_eq!(dataset.content_hash(), 0xfbb7_ee76_93c2_8141);
+
+        let dir = std::env::temp_dir().join(format!("atsq-core-legacy-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, hex) in LEGACY {
+            let hex: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+            let bytes: Vec<u8> = hex
+                .chunks(2)
+                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+                .collect();
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let cache = IndexCache::new(&dir);
+
+        let (engine, outcome) =
+            Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
+        match outcome.unwrap() {
+            CacheOutcome::Rebuilt(why) => assert!(why.ends_with("snapshot saved"), "{why}"),
+            CacheOutcome::Loaded => panic!("legacy shard files must not load"),
+        }
+        let (direct, _) = Engine::build_gat(&dataset, 1, Partition::Hash, None).unwrap();
+        let q = Query::new(vec![QueryPoint::new(
+            Point::new(2.2, 0.0),
+            ActivitySet::from_ids([coffee]),
+        )])
+        .unwrap();
+        assert_eq!(engine.atsq(&dataset, &q, 3), direct.atsq(&dataset, &q, 3));
+        let (_, outcome) = Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
+        assert!(
+            outcome.unwrap().loaded(),
+            "the saved snapshot must now load"
+        );
+
+        let kinds: Vec<&str> = cache
+            .entries()
+            .unwrap()
+            .iter()
+            .map(|path| snapshot::inspect(path).unwrap().kind)
+            .collect();
+        assert_eq!(kinds, ["index", "unknown", "index", "index"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -109,10 +109,10 @@ impl EngineCounters {
 
 impl Profiled for ShardedEngine {
     fn counters(&self) -> EngineCounters {
-        // Shard counters plus the shared-traversal router's: candidates
-        // are charged to their owner shard at routing time, but cold
-        // HICL reads during the single shared traversal land on the
-        // router and must not vanish from engine totals.
+        // Lane counters plus the traversal's: candidates are charged
+        // to their owning lane at routing time, but cold HICL reads of
+        // the traversal land on the index's own counters and must not
+        // vanish from engine totals.
         EngineCounters::sum(
             self.per_shard_stats()
                 .into_iter()
@@ -195,11 +195,11 @@ impl Engine {
         }
     }
 
-    /// Counters of the sharded engine's shared-traversal router (cold
-    /// HICL reads spent generating candidates); `None` for unsharded
-    /// engines. The router never records candidates — each candidate
-    /// is charged to its owner shard at routing time — so folding this
-    /// into an aggregate never perturbs per-shard candidate sums.
+    /// Counters of the sharded engine's traversal (cold HICL reads
+    /// spent generating candidates); `None` for unsharded engines. The
+    /// traversal never records candidates — each candidate is charged
+    /// to its owning lane at routing time — so folding this into an
+    /// aggregate never perturbs per-shard candidate sums.
     pub fn router_counters(&self) -> Option<EngineCounters> {
         match self {
             Engine::Sharded(e) => Some(counters_from_io(e.router_stats())),
@@ -207,8 +207,8 @@ impl Engine {
         }
     }
 
-    /// Accumulated shared-traversal router busy time in nanoseconds;
-    /// `None` for unsharded engines.
+    /// Accumulated traversal (router) busy time in nanoseconds; `None`
+    /// for unsharded engines.
     pub fn router_busy_ns(&self) -> Option<u64> {
         match self {
             Engine::Sharded(e) => Some(e.router_busy_ns()),

@@ -73,33 +73,6 @@ impl GatConfig {
         Ok(())
     }
 
-    /// A copy of this configuration with the grid depth tuned to an
-    /// index over `points` trajectory points: the smallest depth `d`
-    /// whose finest level has at least as many cells as points
-    /// (`4^d ≥ points`), clamped to `[min(3, grid_level), grid_level]`.
-    ///
-    /// A shard holding 1/S of the data gains nothing from the full
-    /// base depth — its leaf cells would be mostly empty while every
-    /// traversal still pays the full descent — so per-shard indexes
-    /// build with this tuned depth. `memory_level` is clamped along.
-    ///
-    /// Deliberately pure integer arithmetic: the snapshot loader
-    /// recomputes the tuned configuration from the recomputed shard
-    /// subset and must land on exactly the same value the build did.
-    pub fn tuned_for_points(&self, points: usize) -> GatConfig {
-        let floor = self.grid_level.min(3);
-        let mut d = floor;
-        // 4^16 fits comfortably in u64; grid_level ≤ 16 by validate().
-        while d < self.grid_level && (1u64 << (2 * u32::from(d))) < points as u64 {
-            d += 1;
-        }
-        GatConfig {
-            grid_level: d,
-            memory_level: self.memory_level.min(d),
-            ..*self
-        }
-    }
-
     /// The paper's estimate of the deepest level that fits a memory
     /// budget of `budget_bytes` given vocabulary cardinality `c`:
     /// `h = log4(3B / 4C + 1)` (§IV, HICL storage discussion).
@@ -152,35 +125,6 @@ mod tests {
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should be invalid");
         }
-    }
-
-    #[test]
-    fn tuned_depth_tracks_point_volume() {
-        let base = GatConfig::default(); // grid_level 8, memory_level 6
-                                         // Tiny shards clamp to the floor of 3.
-        assert_eq!(base.tuned_for_points(0).grid_level, 3);
-        assert_eq!(base.tuned_for_points(64).grid_level, 3);
-        // 4^3 = 64 < 65 → depth 4.
-        assert_eq!(base.tuned_for_points(65).grid_level, 4);
-        // 4^5 = 1024 holds 1000 points.
-        assert_eq!(base.tuned_for_points(1000).grid_level, 5);
-        // Huge shards cap at the base depth.
-        let big = base.tuned_for_points(1 << 30);
-        assert_eq!(big.grid_level, 8);
-        assert_eq!(big, base, "at the cap the config is unchanged");
-        // memory_level never exceeds the tuned depth.
-        let tuned = base.tuned_for_points(100);
-        assert!(tuned.memory_level <= tuned.grid_level);
-        tuned.validate().unwrap();
-        // Shallow base configs are preserved (floor = min(3, d)).
-        let shallow = GatConfig {
-            grid_level: 2,
-            memory_level: 2,
-            ..base
-        };
-        assert_eq!(shallow.tuned_for_points(10).grid_level, 2);
-        // Determinism: same input, same output.
-        assert_eq!(base.tuned_for_points(777), base.tuned_for_points(777));
     }
 
     #[test]

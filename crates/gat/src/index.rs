@@ -318,9 +318,8 @@ impl MemoryReport {
 
 /// Expands degenerate dataset bounds into a usable grid region: empty
 /// datasets get a unit square, zero-extent axes get padding so cells
-/// have positive area. Shared with the sharded engine's router index,
-/// whose grid must tile the same region as a single index would.
-pub(crate) fn usable_region(bounds: Rect) -> Rect {
+/// have positive area.
+fn usable_region(bounds: Rect) -> Rect {
     if bounds.is_empty() {
         return Rect::from_bounds(0.0, 0.0, 1.0, 1.0);
     }

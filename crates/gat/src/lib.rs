@@ -18,14 +18,16 @@
 //!    counters ([`stats::IoStats`]) and a real paged backend behind a
 //!    buffer pool ([`paged`]), selected at build time.
 //!
-//! [`search`] implements Algorithm 1 (the outer loop), the candidate
-//! retrieval of §V-A, the tightened lower bound of Algorithm 2, and the
-//! ATSQ / OATSQ query entry points.
+//! [`search`] implements Algorithm 1 (the one search loop), the
+//! candidate retrieval of §V-A, the tightened lower bound of
+//! Algorithm 2, and the ATSQ / OATSQ query entry points. [`sharded`]
+//! runs the same loop with candidate verification split over `S`
+//! lanes of one index.
 //!
-//! [`snapshot`] persists built indexes (single or sharded) as
-//! versioned, checksummed binary snapshots keyed by the dataset's
-//! content hash, so a server restart loads in milliseconds instead of
-//! rebuilding every layer; see [`snapshot::IndexCache`].
+//! [`snapshot`] persists a built index as a versioned, checksummed
+//! binary snapshot keyed by the dataset's content hash, so a server
+//! restart loads in milliseconds instead of rebuilding every layer;
+//! see [`snapshot::IndexCache`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -37,7 +39,6 @@ pub mod index;
 pub mod itl;
 pub mod kernel;
 pub mod paged;
-mod router;
 pub mod search;
 pub mod sharded;
 pub mod snapshot;
@@ -49,9 +50,7 @@ pub use index::{GatIndex, MemoryReport};
 pub use kernel::{score_scalar, ScoreScratch};
 pub use paged::{AplStorage, PagedApl, PagedAplConfig, PagedBacking};
 pub use search::{
-    atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_atsq_range_with_bound,
-    try_atsq_with_bound, try_oatsq, try_oatsq_range, try_oatsq_range_with_bound,
-    try_oatsq_with_bound, SharedKthBound,
+    atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_oatsq, try_oatsq_range,
 };
 pub use sharded::{Partition, ShardedEngine};
 pub use snapshot::{CacheOutcome, IndexCache, SnapshotInfo};

@@ -2,118 +2,31 @@
 //! validate / refine loop, the §V-A best-first candidate retrieval, the
 //! Algorithm-2 lower bound for unseen trajectories, and the ATSQ /
 //! OATSQ entry points.
+//!
+//! There is exactly one loop — [`search`] — for top-k and range
+//! queries, ATSQ and OATSQ, one index or a sharded engine: the
+//! variants differ only in the [`Goal`] that decides what is kept,
+//! the [`Verify`] pipeline run per candidate, and whether a
+//! [`ShardedEngine`] fans verification out over its lanes.
 
-use crate::config::GatConfig;
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
-use atsq_grid::{CellId, Grid};
+use crate::paged::storage_err;
+use crate::sharded::ShardedEngine;
+use crate::stats::IoStats;
+use atsq_grid::CellId;
 use atsq_matching::order_match::{min_order_match_distance, order_feasible};
 use atsq_matching::point_match::{dmpm_from_sorted, CandidatePoint, QueryMask};
-use atsq_model::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use atsq_types::{
-    rank_top_k, ActivityId, ActivitySet, Dataset, Query, QueryResult, Result, TrajectoryId,
+    rank_top_k, ActivitySet, Dataset, Error, Query, QueryResult, Result, TrajectoryId,
 };
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// What the §V-A candidate retrieval needs from an index: the grid
-/// geometry, the HICL descent and the leaf-cell ITL harvest — but
-/// *not* the per-trajectory verification structures (TAS/APL).
-///
-/// Implemented by the full [`GatIndex`] (the single-index search) and
-/// by the sharded engine's lightweight router index
-/// ([`crate::router::RouterIndex`]), which owns only these components
-/// and lets one traversal feed every shard's verification.
-pub(crate) trait CandidateSource {
-    /// The configuration governing grid depth and retrieval knobs.
-    fn config(&self) -> &GatConfig;
-    /// The hierarchical grid.
-    fn grid(&self) -> &Grid;
-    /// Trajectories performing `act` inside leaf cell `cell`.
-    fn itl_trajectories(&self, cell: CellId, act: ActivityId) -> &[TrajectoryId];
-    /// Activities present in `cell`, with cold-read accounting.
-    fn cell_activities(&self, cell: CellId) -> Result<Option<Cow<'_, ActivitySet>>>;
-    /// Children of `cell` containing any wanted activity, with
-    /// cold-read accounting.
-    fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Result<Vec<CellId>>;
-}
-
-impl CandidateSource for GatIndex {
-    fn config(&self) -> &GatConfig {
-        GatIndex::config(self)
-    }
-    fn grid(&self) -> &Grid {
-        GatIndex::grid(self)
-    }
-    fn itl_trajectories(&self, cell: CellId, act: ActivityId) -> &[TrajectoryId] {
-        self.itl().trajectories(cell, act)
-    }
-    fn cell_activities(&self, cell: CellId) -> Result<Option<Cow<'_, ActivitySet>>> {
-        GatIndex::cell_activities(self, cell)
-    }
-    fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Result<Vec<CellId>> {
-        GatIndex::children_with_any(self, cell, wanted)
-    }
-}
-
-/// A shared, monotonically tightening upper bound on the distance any
-/// result still has to beat — the cross-shard generalisation of the
-/// `Dkmm` pruning bound of Algorithm 1.
-///
-/// Injected into [`try_atsq_with_bound`] / [`try_oatsq_with_bound`],
-/// the bound carries the best `k`-th-best distance *published by any
-/// participant* (shard), so one shard's full top-k heap tightens every
-/// other shard's termination test and OATSQ early exit. Soundness: the
-/// search loops only use the bound through `min(local kth, shared)`,
-/// and every published value is the k-th smallest distance of `k` real
-/// trajectories — an upper bound on the final global k-th best — so
-/// anything pruned against it is *strictly* worse than the global
-/// answer set (the loops prune strictly, which also keeps
-/// tie-breaking identical to the single-index path).
-///
-/// Encoding: distances are non-negative, and IEEE-754 orders
-/// non-negative doubles identically to their raw bit patterns, so the
-/// bound lives in an `AtomicU64` tightened with lock-free `fetch_min`.
-#[derive(Debug)]
-pub struct SharedKthBound(AtomicU64);
-
-impl Default for SharedKthBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SharedKthBound {
-    /// A fresh bound at `+∞` (prunes nothing until tightened).
-    pub fn new() -> Self {
-        SharedKthBound(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// The tightest distance published so far.
-    pub fn get(&self) -> f64 {
-        // ordering: Relaxed — the bound's bits are the whole payload
-        // (no other memory is published alongside it), and any
-        // monotone, possibly-stale value is a *conservative* prune
-        // threshold: a late-arriving tighter bound only delays
-        // pruning, never causes a wrong result.
-        f64::from_bits(self.0.load(AtomicOrdering::Relaxed))
-    }
-
-    /// Publishes a candidate bound; the stored value only decreases.
-    pub fn tighten(&self, dist: f64) {
-        debug_assert!(dist >= 0.0, "distances are non-negative");
-        // ordering: Relaxed — fetch_min's read-modify-write atomicity
-        // keeps the value monotone non-increasing on its own; readers
-        // need no happens-before edge because the value itself is the
-        // entire message (see `get`).
-        self.0.fetch_min(dist.to_bits(), AtomicOrdering::Relaxed);
-    }
-}
+use std::time::Instant;
 
 /// Total-ordering wrapper for f64 priorities (never NaN here).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
+pub(crate) struct OrdF64(f64);
 
 impl Eq for OrdF64 {}
 impl PartialOrd for OrdF64 {
@@ -151,10 +64,10 @@ impl Ord for PqEntry {
     }
 }
 
-/// Best-first candidate retrieval with the Algorithm-2 lower bound,
-/// generic over the [`CandidateSource`] the traversal runs against.
-pub(crate) struct Retrieval<'a, S: CandidateSource> {
-    source: &'a S,
+/// Best-first candidate retrieval over the index's grid, HICL and ITL,
+/// with the Algorithm-2 lower bound.
+struct Retrieval<'a> {
+    index: &'a GatIndex,
     query: &'a Query,
     pq: BinaryHeap<PqEntry>,
     /// Per query point: ALL unvisited frontier cells (pushed but not
@@ -167,10 +80,9 @@ pub(crate) struct Retrieval<'a, S: CandidateSource> {
     seen: Vec<bool>,
 }
 
-impl<'a, S: CandidateSource> Retrieval<'a, S> {
-    /// Seeds the traversal. `n_trajectories` sizes the dedup bitmap —
-    /// the trajectory-id space the source's ITL draws from.
-    pub(crate) fn new(source: &'a S, n_trajectories: usize, query: &'a Query) -> Result<Self> {
+impl<'a> Retrieval<'a> {
+    /// Seeds the traversal.
+    fn new(index: &'a GatIndex, query: &'a Query) -> Result<Self> {
         let m = query.points.len();
         let mut pq = BinaryHeap::new();
         let mut frontier = vec![Vec::new(); m];
@@ -178,10 +90,10 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
         // Seed: all level-1 cells containing any activity of qi.Φ.
         for (q_idx, q) in query.points.iter().enumerate() {
             let root = CellId::ROOT;
-            let mut seeds = source.children_with_any(root, &q.activities)?;
+            let mut seeds = index.children_with_any(root, &q.activities)?;
             seeds.sort_unstable();
             for cell in seeds {
-                let mdist = source.grid().min_dist(cell, &q.loc);
+                let mdist = index.grid().min_dist(cell, &q.loc);
                 pq.push(PqEntry {
                     mdist: OrdF64(mdist),
                     cell,
@@ -192,29 +104,30 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
         }
 
         Ok(Retrieval {
-            source,
+            index,
             query,
             pq,
             frontier,
-            seen: vec![false; n_trajectories],
+            // The id space the index's ITL draws from.
+            seen: vec![false; index.tas().len()],
         })
     }
 
     /// Dequeues cells until at least `lambda` fresh candidates are
     /// collected (or the queue empties). Returns the new candidates;
     /// the *caller* charges `record_candidate` per returned id, on
-    /// whichever index owns the candidate's verification.
-    pub(crate) fn retrieve_batch(&mut self, lambda: usize) -> Result<Vec<TrajectoryId>> {
+    /// whichever lane owns the candidate's verification.
+    fn retrieve_batch(&mut self, lambda: usize) -> Result<Vec<TrajectoryId>> {
         let mut out = Vec::new();
-        let leaf_level = self.source.config().grid_level;
+        let leaf_level = self.index.config().grid_level;
         while out.len() < lambda {
             let Some(entry) = self.pq.pop() else { break };
             let q = &self.query.points[entry.q_idx];
             remove_frontier(&mut self.frontier[entry.q_idx], entry.mdist.0, entry.cell);
             if entry.cell.level < leaf_level {
                 // Descend: children containing any query activity.
-                for child in self.source.children_with_any(entry.cell, &q.activities)? {
-                    let mdist = self.source.grid().min_dist(child, &q.loc);
+                for child in self.index.children_with_any(entry.cell, &q.activities)? {
+                    let mdist = self.index.grid().min_dist(child, &q.loc);
                     self.pq.push(PqEntry {
                         mdist: OrdF64(mdist),
                         cell: child,
@@ -225,7 +138,7 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
             } else {
                 // Leaf: harvest the ITL under each query activity.
                 for a in q.activities.iter() {
-                    for &tr in self.source.itl_trajectories(entry.cell, a) {
+                    for &tr in self.index.itl().trajectories(entry.cell, a) {
                         if !self.seen[tr.index()] {
                             self.seen[tr.index()] = true;
                             out.push(tr);
@@ -237,7 +150,7 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
         Ok(out)
     }
 
-    pub(crate) fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.pq.is_empty()
     }
 
@@ -256,11 +169,11 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
     /// virtual trajectory lower-bounds the true `Dmpm` of anything not
     /// yet retrieved, capped by the distance of the last tracked cell
     /// when the frontier list was truncated.
-    pub(crate) fn lower_bound(&self) -> Result<f64> {
-        if !self.source.config().tight_lower_bound {
+    fn lower_bound(&self) -> Result<f64> {
+        if !self.index.config().tight_lower_bound {
             return Ok(self.loose_lower_bound());
         }
-        let m = self.source.config().lb_cells;
+        let m = self.index.config().lb_cells;
         let mut total = 0.0f64;
         for (q_idx, q) in self.query.points.iter().enumerate() {
             let cells = &self.frontier[q_idx];
@@ -276,7 +189,7 @@ impl<'a, S: CandidateSource> Retrieval<'a, S> {
             let qmask = QueryMask::new(&q.activities);
             let mut virtual_points = Vec::with_capacity(head.len());
             for &(mdist, cell) in head {
-                if let Some(acts) = self.source.cell_activities(cell)? {
+                if let Some(acts) = self.index.cell_activities(cell)? {
                     let mask = qmask.cover_mask(&acts);
                     if mask != 0 {
                         virtual_points.push(CandidatePoint { dist: mdist, mask });
@@ -327,342 +240,276 @@ fn remove_frontier(list: &mut Vec<(f64, CellId)>, mdist: f64, cell: CellId) {
     }
 }
 
-/// Bounded max-heap tracking the current k-th best distance.
-///
-/// The heap's content is a pure function of the *set* of offered
-/// `(dist, id)` pairs — the k smallest under the `(dist, id)` order —
-/// so any evaluation order, and any extra offers of pairs worse than
-/// the final k-th, produce the same results. The sharded engine's
-/// shared-traversal path leans on exactly this property.
-pub(crate) struct TopK {
-    k: usize,
-    heap: BinaryHeap<(OrdF64, TrajectoryId)>,
+/// What a search is asked to return.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Goal {
+    /// The `k` trajectories with the smallest distance (Algorithm 1).
+    TopK(usize),
+    /// Every trajectory within distance `tau`: the radius replaces the
+    /// k-th best distance in every pruning test.
+    Range(f64),
 }
 
-impl TopK {
-    pub(crate) fn new(k: usize) -> Self {
-        TopK {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
+/// The results collected so far, and the distance a candidate must
+/// not exceed to still matter.
+///
+/// Its content is a pure function of the *set* of offered `(dist, id)`
+/// pairs — the k smallest under the `(dist, id)` order, or all within
+/// the radius — so any evaluation order, and any extra offers of pairs
+/// worse than the final k-th, produce the same results. Fanning
+/// verification out over lanes leans on exactly this property.
+pub(crate) enum Sink {
+    /// Bounded max-heap whose top is the current k-th best.
+    TopK {
+        k: usize,
+        heap: BinaryHeap<(OrdF64, TrajectoryId)>,
+    },
+    Range {
+        tau: f64,
+        out: Vec<QueryResult>,
+    },
+}
+
+impl Sink {
+    /// `n` is the number of trajectories that could ever be offered:
+    /// `k` comes off the wire, so the reservation is bounded by `n`.
+    fn new(goal: Goal, n: usize) -> Self {
+        match goal {
+            Goal::TopK(k) => Sink::TopK {
+                k,
+                heap: BinaryHeap::with_capacity(k.min(n) + 1),
+            },
+            Goal::Range(tau) => Sink::Range {
+                tau,
+                out: Vec::new(),
+            },
+        }
+    }
+
+    /// `Dk` of Algorithm 1: the live k-th best distance (`∞` until k
+    /// results exist), or the radius. It only ever over-estimates the
+    /// final cutoff, so pruning *strictly* against it (or against any
+    /// earlier value of it, as parallel lanes do) never drops a result
+    /// or changes a tie-break.
+    pub(crate) fn cutoff(&self) -> f64 {
+        match self {
+            Sink::TopK { k, heap } if heap.len() == *k => {
+                heap.peek().map_or(f64::INFINITY, |&(d, _)| d.0)
+            }
+            Sink::TopK { .. } => f64::INFINITY,
+            Sink::Range { tau, .. } => *tau,
         }
     }
 
     pub(crate) fn offer(&mut self, dist: f64, tr: TrajectoryId) {
-        self.heap.push((OrdF64(dist), tr));
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
-    }
-
-    /// Current k-th smallest distance (`∞` until k results exist).
-    pub(crate) fn kth(&self) -> f64 {
-        if self.heap.len() == self.k {
-            self.heap.peek().map_or(f64::INFINITY, |&(d, _)| d.0)
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    pub(crate) fn into_results(self) -> Vec<QueryResult> {
-        self.heap
-            .into_iter()
-            .map(|(d, tr)| QueryResult::new(tr, d.0))
-            .collect()
-    }
-}
-
-/// Validates a candidate and computes `Dmm` through the index's TAS and
-/// APL (the §V-C / §V-D pipeline). Returns `Ok(None)` for invalid
-/// candidates; `Err` only on a paged-APL storage failure.
-///
-/// Candidate-point scoring runs through the SoA batch kernel in
-/// `scratch` — bit-identical to the scalar reference (see
-/// [`crate::kernel`]) but allocation-free and autovectorizable.
-pub(crate) fn evaluate_atsq(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    all_acts: &ActivitySet,
-    tr: TrajectoryId,
-    scratch: &mut ScoreScratch,
-) -> Result<Option<f64>> {
-    if index.config().use_tas {
-        index.stats().record_tas_check();
-        if !index.tas().sketch(tr.index()).covers(all_acts) {
-            return Ok(None);
-        }
-    }
-    let postings = index.postings(tr.index())?;
-    if !postings.contains_all(all_acts) {
-        if index.config().use_tas {
-            index.stats().record_tas_false_positive();
-        }
-        return Ok(None);
-    }
-    index.stats().record_distance();
-    let points = &dataset.trajectory(tr).points;
-    let mut total = 0.0;
-    for q in &query.points {
-        let qmask = QueryMask::new(&q.activities);
-        postings.candidate_indexes_into(&q.activities, &mut scratch.indexes);
-        let cp = scratch.score(&q.loc, &qmask, points);
-        match dmpm_from_sorted(&qmask, cp) {
-            Some(d) => total += d,
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(total))
-}
-
-/// Validates a candidate for OATSQ (TAS → APL → MIB) and computes
-/// `Dmom` with the `Dkmom` early exit.
-pub(crate) fn evaluate_oatsq(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    all_acts: &ActivitySet,
-    tr: TrajectoryId,
-    dk: f64,
-) -> Result<Option<f64>> {
-    if index.config().use_tas {
-        index.stats().record_tas_check();
-        if !index.tas().sketch(tr.index()).covers(all_acts) {
-            return Ok(None);
-        }
-    }
-    let postings = index.postings(tr.index())?;
-    if !postings.contains_all(all_acts) {
-        if index.config().use_tas {
-            index.stats().record_tas_false_positive();
-        }
-        return Ok(None);
-    }
-    let points = &dataset.trajectory(tr).points;
-    // MIB filter (§VI-B) before the expensive dynamic program.
-    if !order_feasible(query, points) {
-        return Ok(None);
-    }
-    index.stats().record_distance();
-    Ok(min_order_match_distance(query, points, dk))
-}
-
-/// Runs Algorithm 1 with a pluggable candidate evaluator and an
-/// optional externally shared pruning bound.
-///
-/// When `bound` is present, every pruning decision — the evaluator's
-/// `Dkmom` early exit and the Algorithm-1 termination test — uses
-/// `min(local k-th best, bound)`, and the local k-th best is published
-/// back whenever it improves. With `None` the loop is exactly the
-/// paper's single-index Algorithm 1.
-fn search_loop(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-    bound: Option<&SharedKthBound>,
-    mut evaluate: impl FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
-) -> Result<Vec<QueryResult>> {
-    if k == 0 || dataset.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut retrieval = Retrieval::new(index, dataset.len(), query)?;
-    let mut top = TopK::new(k);
-    let lambda = index.config().lambda;
-    let effective = |local: f64| bound.map_or(local, |b| local.min(b.get()));
-
-    // Entry check: a bound inherited from other shards may already
-    // beat everything this index could contribute (its lower bound
-    // covers ALL its trajectories before the first retrieval), in
-    // which case the whole search is skipped — this is what makes a
-    // far shard nearly free once a near shard has published its top-k.
-    if let Some(b) = bound {
-        if b.get() < retrieval.lower_bound()? {
-            return Ok(Vec::new());
-        }
-    }
-
-    loop {
-        let batch = retrieval.retrieve_batch(lambda)?;
-        for tr in batch {
-            index.stats().record_candidate();
-            if let Some(dist) = evaluate(tr, effective(top.kth()))? {
-                top.offer(dist, tr);
-                if let Some(b) = bound {
-                    // kth() is +∞ until the heap fills; tighten is a
-                    // no-op then, so publish unconditionally.
-                    b.tighten(top.kth());
+        match self {
+            Sink::TopK { k, heap } => {
+                heap.push((OrdF64(dist), tr));
+                if heap.len() > *k {
+                    heap.pop();
                 }
             }
-        }
-        if retrieval.exhausted() {
-            break;
-        }
-        // Termination: the k-th best beats anything still unseen.
-        let dlb = retrieval.lower_bound()?;
-        if effective(top.kth()) < dlb {
-            break;
-        }
-    }
-    Ok(rank_top_k(top.into_results(), k))
-}
-
-/// Range variant of the search loop: every trajectory within `tau`.
-///
-/// A present `bound` tightens the cutoff to `min(tau, bound)`; callers
-/// injecting one promise that results beyond the bound are not wanted
-/// (for a sharded range query `tau` is already global, so the sharded
-/// engine passes `None` — the hook exists for callers imposing an
-/// extra result-distance budget).
-fn range_loop(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-    bound: Option<&SharedKthBound>,
-    mut evaluate: impl FnMut(TrajectoryId, f64) -> Result<Option<f64>>,
-) -> Result<Vec<QueryResult>> {
-    let mut out = Vec::new();
-    if dataset.is_empty() || tau < 0.0 {
-        return Ok(out);
-    }
-    let mut retrieval = Retrieval::new(index, dataset.len(), query)?;
-    let lambda = index.config().lambda;
-    let cutoff = || bound.map_or(tau, |b| tau.min(b.get()));
-    loop {
-        let batch = retrieval.retrieve_batch(lambda)?;
-        for tr in batch {
-            index.stats().record_candidate();
-            if let Some(dist) = evaluate(tr, cutoff())? {
-                if dist <= tau {
+            Sink::Range { tau, out } => {
+                if dist <= *tau {
                     out.push(QueryResult::new(tr, dist));
                 }
             }
         }
+    }
+
+    fn finish(self) -> Vec<QueryResult> {
+        match self {
+            Sink::TopK { k, heap } => {
+                let results = heap.into_iter().map(|(d, tr)| QueryResult::new(tr, d.0));
+                rank_top_k(results.collect(), k)
+            }
+            Sink::Range { out, .. } => rank_top_k(out, usize::MAX),
+        }
+    }
+}
+
+/// Which verification pipeline runs per candidate: ATSQ's `Dmm`
+/// (Algorithm 3 per query point) or OATSQ's `Dmom` (MIB filter +
+/// Algorithm 4 with the `Dk` early exit).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Verify {
+    Atsq,
+    Oatsq,
+}
+
+/// One query's candidate verification: everything but the candidate.
+pub(crate) struct Verifier<'a> {
+    kind: Verify,
+    index: &'a GatIndex,
+    dataset: &'a Dataset,
+    query: &'a Query,
+    all_acts: ActivitySet,
+}
+
+impl Verifier<'_> {
+    /// Validates candidate `tr` through the index's TAS and APL (§V-C /
+    /// §V-D; plus the §VI-B MIB filter for OATSQ) and computes its
+    /// distance, charging the work to `stats`. `Ok(None)` for invalid
+    /// candidates and for OATSQ candidates beyond `dk`; `Err` only on a
+    /// paged-APL storage failure.
+    ///
+    /// ATSQ point scoring runs through the SoA batch kernel in
+    /// `scratch` — bit-identical to the scalar reference (see
+    /// [`crate::kernel`]) but allocation-free and autovectorizable.
+    pub(crate) fn verify(
+        &self,
+        stats: &IoStats,
+        tr: TrajectoryId,
+        dk: f64,
+        scratch: &mut ScoreScratch,
+    ) -> Result<Option<f64>> {
+        let use_tas = self.index.config().use_tas;
+        if use_tas {
+            stats.record_tas_check();
+            if !self.index.tas().sketch(tr.index()).covers(&self.all_acts) {
+                return Ok(None);
+            }
+        }
+        stats.record_apl_read();
+        let postings = self.index.apl().postings(tr.index()).map_err(storage_err)?;
+        if !postings.contains_all(&self.all_acts) {
+            if use_tas {
+                stats.record_tas_false_positive();
+            }
+            return Ok(None);
+        }
+        let points = &self.dataset.trajectory(tr).points;
+        match self.kind {
+            Verify::Atsq => {
+                stats.record_distance();
+                let mut total = 0.0;
+                for q in &self.query.points {
+                    let qmask = QueryMask::new(&q.activities);
+                    postings.candidate_indexes_into(&q.activities, &mut scratch.indexes);
+                    let cp = scratch.score(&q.loc, &qmask, points);
+                    match dmpm_from_sorted(&qmask, cp) {
+                        Some(d) => total += d,
+                        None => return Ok(None),
+                    }
+                }
+                Ok(Some(total))
+            }
+            Verify::Oatsq => {
+                // MIB filter before the expensive dynamic program.
+                if !order_feasible(self.query, points) {
+                    return Ok(None);
+                }
+                stats.record_distance();
+                Ok(min_order_match_distance(self.query, points, dk))
+            }
+        }
+    }
+}
+
+/// Accumulates the time the coordinating thread spends in the
+/// traversal itself (retrieve + lower bound) — with routing, the
+/// serial section a sharded query cannot parallelize. Off, and free,
+/// for a single index.
+struct SerialClock(Option<u64>);
+
+impl SerialClock {
+    fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let Some(ns) = &mut self.0 else { return f() };
+        let t0 = Instant::now();
+        let out = f();
+        *ns += t0.elapsed().as_nanos() as u64;
+        out
+    }
+}
+
+/// Algorithm 1 — the one search loop of the crate. Retrieves candidate
+/// batches best-first (§V-A), verifies each candidate, offers the
+/// survivors to the goal's sink, and stops once the sink's cutoff
+/// beats the Algorithm-2 lower bound of everything still unseen.
+///
+/// With `fanout = None` candidates are verified in retrieval order
+/// against the live cutoff and charged to the index's own counters.
+/// A [`ShardedEngine`] passes itself: each batch is routed to the
+/// lanes owning its candidates and verified there (possibly on worker
+/// threads), still at the *global* trajectory id against the same
+/// index and dataset — so the candidate stream, every distance and the
+/// `(distance, id)` ranking are those of the single index.
+pub(crate) fn search(
+    index: &GatIndex,
+    dataset: &Dataset,
+    query: &Query,
+    kind: Verify,
+    goal: Goal,
+    fanout: Option<&ShardedEngine>,
+) -> Result<Vec<QueryResult>> {
+    // The ITL hands out ids of the indexed trajectories; every one of
+    // them is looked up in `dataset` during verification.
+    if dataset.len() < index.tas().len() {
+        return Err(Error::InvalidConfig(format!(
+            "dataset has {} trajectories but the index covers {}",
+            dataset.len(),
+            index.tas().len()
+        )));
+    }
+    let wants_nothing = match goal {
+        Goal::TopK(k) => k == 0,
+        Goal::Range(tau) => tau < 0.0,
+    };
+    if wants_nothing || dataset.is_empty() {
+        return Ok(Vec::new());
+    }
+    let verifier = Verifier {
+        kind,
+        index,
+        dataset,
+        query,
+        all_acts: query.all_activities(),
+    };
+    let mut lanes = fanout.map(ShardedEngine::lanes);
+    let mut scratch = ScoreScratch::new();
+    let mut sink = Sink::new(goal, dataset.len());
+    let mut serial = SerialClock(fanout.map(|_| 0));
+    let lambda = index.config().lambda;
+    let mut retrieval = serial.time(|| Retrieval::new(index, query))?;
+
+    loop {
+        let batch = serial.time(|| retrieval.retrieve_batch(lambda))?;
+        match &mut lanes {
+            Some(lanes) => lanes.verify_batch(&verifier, &batch, &mut sink)?,
+            None => {
+                for tr in batch {
+                    index.stats().record_candidate();
+                    let dk = sink.cutoff();
+                    if let Some(d) = verifier.verify(index.stats(), tr, dk, &mut scratch)? {
+                        sink.offer(d, tr);
+                    }
+                }
+            }
+        }
         if retrieval.exhausted() {
             break;
         }
-        // Every unseen trajectory is strictly beyond the radius.
-        if retrieval.lower_bound()? > cutoff() {
+        // Termination: the cutoff beats anything still unseen.
+        let dlb = serial.time(|| retrieval.lower_bound())?;
+        if sink.cutoff() < dlb {
             break;
         }
     }
-    Ok(rank_top_k(out, usize::MAX))
+    if let (Some(engine), Some(ns)) = (fanout, serial.0) {
+        engine.add_router_busy(ns);
+    }
+    Ok(sink.finish())
 }
 
-/// Fallible form of [`atsq_range`]; errs only on paged-APL failures.
-pub fn try_atsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Result<Vec<QueryResult>> {
-    try_atsq_range_with_bound(index, dataset, query, tau, None)
-}
-
-/// [`try_atsq_range`] with an optional injected result-distance budget:
-/// when present, only trajectories with `Dmm ≤ min(tau, bound)` are
-/// guaranteed to be returned — the caller promises results beyond the
-/// bound are not wanted. A sharded range query passes `None` (`tau` is
-/// already global); the hook serves callers imposing an extra global
-/// budget, e.g. "within `tau`, but nothing worse than the `k`-th best
-/// found elsewhere".
-pub fn try_atsq_range_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
-    let all_acts = query.all_activities();
-    let mut scratch = ScoreScratch::new();
-    range_loop(index, dataset, query, tau, bound, |tr, _| {
-        evaluate_atsq(index, dataset, query, &all_acts, tr, &mut scratch)
-    })
-}
-
-/// Range (threshold) ATSQ: every trajectory with `Dmm(Q, Tr) ≤ tau`,
-/// ascending by distance. A natural companion of the paper's top-k
-/// query: the same index, candidate retrieval and Algorithm-2 bound
-/// apply, with the radius replacing `Dkmm` in the termination test.
-///
-/// # Panics
-/// On a paged-APL storage failure (impossible with the in-memory
-/// backend); use [`try_atsq_range`] to handle that case.
-pub fn atsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Vec<QueryResult> {
-    try_atsq_range(index, dataset, query, tau).expect("APL storage failure during range ATSQ")
-}
-
-/// Fallible form of [`oatsq_range`]; errs only on paged-APL failures.
-pub fn try_oatsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Result<Vec<QueryResult>> {
-    try_oatsq_range_with_bound(index, dataset, query, tau, None)
-}
-
-/// [`try_oatsq_range`] with an optional injected result-distance
-/// budget (see [`try_atsq_range_with_bound`] for the contract).
-pub fn try_oatsq_range_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
-    let all_acts = query.all_activities();
-    range_loop(index, dataset, query, tau, bound, |tr, cutoff| {
-        // Algorithm 4's early exit doubles as the radius filter.
-        evaluate_oatsq(index, dataset, query, &all_acts, tr, cutoff)
-    })
-}
-
-/// Range (threshold) OATSQ: every trajectory with `Dmom(Q, Tr) ≤ tau`.
-///
-/// # Panics
-/// On a paged-APL storage failure; use [`try_oatsq_range`] otherwise.
-pub fn oatsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Vec<QueryResult> {
-    try_oatsq_range(index, dataset, query, tau).expect("APL storage failure during range OATSQ")
-}
-
-/// Fallible form of [`atsq`]; errs only on paged-APL failures.
+/// Fallible form of [`atsq`]; errs on a paged-APL failure or a
+/// `dataset` shorter than the one indexed.
 pub fn try_atsq(
     index: &GatIndex,
     dataset: &Dataset,
     query: &Query,
     k: usize,
 ) -> Result<Vec<QueryResult>> {
-    try_atsq_with_bound(index, dataset, query, k, None)
-}
-
-/// [`try_atsq`] with an optional cross-participant pruning bound; the
-/// entry point of the sharded engine. Results are the exact per-index
-/// top-k *except* that trajectories strictly worse than the injected
-/// bound may be missing — which is precisely what makes merging
-/// per-shard answers exact (see [`SharedKthBound`]).
-pub fn try_atsq_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
-    let all_acts = query.all_activities();
-    let mut scratch = ScoreScratch::new();
-    search_loop(index, dataset, query, k, bound, |tr, _dk| {
-        evaluate_atsq(index, dataset, query, &all_acts, tr, &mut scratch)
-    })
+    search(index, dataset, query, Verify::Atsq, Goal::TopK(k), None)
 }
 
 /// Activity Trajectory Similarity Query (ATSQ, §II): the `k`
@@ -670,36 +517,19 @@ pub fn try_atsq_with_bound(
 ///
 /// # Panics
 /// On a paged-APL storage failure (impossible with the in-memory
-/// backend); use [`try_atsq`] to handle that case.
+/// backend) or a mismatched dataset; use [`try_atsq`] to handle those.
 pub fn atsq(index: &GatIndex, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-    try_atsq(index, dataset, query, k).expect("APL storage failure during ATSQ")
+    try_atsq(index, dataset, query, k).expect("ATSQ failed")
 }
 
-/// Fallible form of [`oatsq`]; errs only on paged-APL failures.
+/// Fallible form of [`oatsq`]; errs as [`try_atsq`] does.
 pub fn try_oatsq(
     index: &GatIndex,
     dataset: &Dataset,
     query: &Query,
     k: usize,
 ) -> Result<Vec<QueryResult>> {
-    try_oatsq_with_bound(index, dataset, query, k, None)
-}
-
-/// [`try_oatsq`] with an optional cross-participant pruning bound (see
-/// [`try_atsq_with_bound`]); the bound additionally feeds Algorithm 4's
-/// `Dkmom` early exit, whose strict comparison keeps equal-distance
-/// ties alive across shards.
-pub fn try_oatsq_with_bound(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-    bound: Option<&SharedKthBound>,
-) -> Result<Vec<QueryResult>> {
-    let all_acts = query.all_activities();
-    search_loop(index, dataset, query, k, bound, |tr, dk| {
-        evaluate_oatsq(index, dataset, query, &all_acts, tr, dk)
-    })
+    search(index, dataset, query, Verify::Oatsq, Goal::TopK(k), None)
 }
 
 /// Order-sensitive ATSQ (OATSQ, §VI): the `k` trajectories with the
@@ -710,9 +540,59 @@ pub fn try_oatsq_with_bound(
 /// function change.
 ///
 /// # Panics
-/// On a paged-APL storage failure; use [`try_oatsq`] otherwise.
+/// As [`atsq`]; use [`try_oatsq`] otherwise.
 pub fn oatsq(index: &GatIndex, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-    try_oatsq(index, dataset, query, k).expect("APL storage failure during OATSQ")
+    try_oatsq(index, dataset, query, k).expect("OATSQ failed")
+}
+
+/// Fallible form of [`atsq_range`]; errs as [`try_atsq`] does.
+pub fn try_atsq_range(
+    index: &GatIndex,
+    dataset: &Dataset,
+    query: &Query,
+    tau: f64,
+) -> Result<Vec<QueryResult>> {
+    search(index, dataset, query, Verify::Atsq, Goal::Range(tau), None)
+}
+
+/// Range (threshold) ATSQ: every trajectory with `Dmm(Q, Tr) ≤ tau`,
+/// ascending by distance. A natural companion of the paper's top-k
+/// query: the same index, candidate retrieval and Algorithm-2 bound
+/// apply, with the radius replacing `Dkmm` in the termination test.
+///
+/// # Panics
+/// As [`atsq`]; use [`try_atsq_range`] otherwise.
+pub fn atsq_range(
+    index: &GatIndex,
+    dataset: &Dataset,
+    query: &Query,
+    tau: f64,
+) -> Vec<QueryResult> {
+    try_atsq_range(index, dataset, query, tau).expect("range ATSQ failed")
+}
+
+/// Fallible form of [`oatsq_range`]; errs as [`try_atsq`] does.
+pub fn try_oatsq_range(
+    index: &GatIndex,
+    dataset: &Dataset,
+    query: &Query,
+    tau: f64,
+) -> Result<Vec<QueryResult>> {
+    // Algorithm 4's early exit doubles as the radius filter.
+    search(index, dataset, query, Verify::Oatsq, Goal::Range(tau), None)
+}
+
+/// Range (threshold) OATSQ: every trajectory with `Dmom(Q, Tr) ≤ tau`.
+///
+/// # Panics
+/// As [`atsq`]; use [`try_oatsq_range`] otherwise.
+pub fn oatsq_range(
+    index: &GatIndex,
+    dataset: &Dataset,
+    query: &Query,
+    tau: f64,
+) -> Vec<QueryResult> {
+    try_oatsq_range(index, dataset, query, tau).expect("range OATSQ failed")
 }
 
 #[cfg(test)]
@@ -839,49 +719,38 @@ mod tests {
         assert!(oatsq(&idx, &d, &q, 3).is_empty());
     }
 
+    /// `k` comes off the wire: a huge `k` must neither reserve memory
+    /// for it nor change the answer.
     #[test]
-    fn shared_bound_tightens_monotonically() {
-        let b = SharedKthBound::new();
-        assert_eq!(b.get(), f64::INFINITY);
-        b.tighten(5.0);
-        assert_eq!(b.get(), 5.0);
-        b.tighten(7.0); // looser publications are ignored
-        assert_eq!(b.get(), 5.0);
-        b.tighten(1.25);
-        assert_eq!(b.get(), 1.25);
-        b.tighten(0.0);
-        assert_eq!(b.get(), 0.0);
-    }
-
-    /// The injected range budget: everything within `min(tau, bound)`
-    /// is still returned; results beyond the bound are best-effort.
-    #[test]
-    fn bounded_range_keeps_everything_within_the_budget() {
+    fn k_beyond_the_dataset_returns_every_match() {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
+        let all = atsq(&idx, &d, &query(), d.len());
+        assert_eq!(all.len(), 4, "Tr2 lacks activity 1");
+        assert_eq!(atsq(&idx, &d, &query(), usize::MAX), all);
+        assert_eq!(
+            oatsq(&idx, &d, &query(), usize::MAX),
+            oatsq(&idx, &d, &query(), d.len())
+        );
+    }
+
+    /// The ITL hands out ids of the *indexed* trajectories; a shorter
+    /// dataset is an error, not an out-of-bounds panic.
+    #[test]
+    fn dataset_shorter_than_the_index_is_rejected() {
+        use crate::sharded::{Partition, ShardedEngine};
+        let d = dataset();
+        let short = d.subset(&[TrajectoryId(0), TrajectoryId(1)]);
+        let idx = GatIndex::build_with(&d, config()).unwrap();
+        let sharded = ShardedEngine::build_with(&d, 3, Partition::Hash, config()).unwrap();
         let q = query();
-        for tau in [1.0f64, 3.0, 100.0] {
-            let full = atsq_range(&idx, &d, &q, tau);
-            let full_o = oatsq_range(&idx, &d, &q, tau);
-            for budget in [0.05f64, 0.5, 2.5, 60.0] {
-                let bound = SharedKthBound::new();
-                bound.tighten(budget);
-                let capped = try_atsq_range_with_bound(&idx, &d, &q, tau, Some(&bound)).unwrap();
-                let want: Vec<&QueryResult> =
-                    full.iter().filter(|r| r.distance <= budget).collect();
-                for w in &want {
-                    assert!(capped.contains(w), "τ={tau} budget={budget}: lost {w:?}");
-                }
-                let capped_o = try_oatsq_range_with_bound(&idx, &d, &q, tau, Some(&bound)).unwrap();
-                for w in full_o.iter().filter(|r| r.distance <= budget) {
-                    assert!(
-                        capped_o.contains(w),
-                        "ordered τ={tau} budget={budget}: lost {w:?}"
-                    );
-                }
-                // Nothing outside tau ever appears.
-                assert!(capped.iter().chain(&capped_o).all(|r| r.distance <= tau));
-            }
+        for got in [
+            try_atsq(&idx, &short, &q, 3),
+            try_oatsq_range(&idx, &short, &q, 5.0),
+            sharded.try_atsq(&short, &q, 3),
+            sharded.try_oatsq_range(&short, &q, 5.0),
+        ] {
+            assert!(matches!(got, Err(Error::InvalidConfig(_))), "{got:?}");
         }
     }
 

@@ -1,12 +1,13 @@
 //! Persistent GAT index snapshots.
 //!
 //! Building a [`GatIndex`] is expensive relative to querying it, yet
-//! every process start used to rebuild all layers — and a
-//! [`ShardedEngine`] rebuilds one per shard. This module serializes a
-//! built index (grid + HICL + ITL + TAS + APL) into a versioned,
-//! checksummed binary snapshot keyed by
+//! every process start used to rebuild all layers. This module
+//! serializes a built index (grid + HICL + ITL + TAS + APL) into a
+//! versioned, checksummed binary snapshot keyed by
 //! [`Dataset::content_hash`], so a restart *loads* instead of
-//! *builds*.
+//! *builds*. A sharded engine persists nothing of its own: it shards
+//! the same index ([`crate::ShardedEngine::from_index`]) and recomputes
+//! its id partition from the dataset.
 //!
 //! Safety over speed: a snapshot is only ever used when every check
 //! passes — magic, format version, payload checksum
@@ -21,7 +22,7 @@
 //! ```text
 //! offset 0   [u8; 8]  magic b"ATSQSNAP"
 //! offset 8   u16 LE   format version (currently 1)
-//! offset 10  u8       kind (1 = single index, 2 = shard manifest)
+//! offset 10  u8       kind (1 = index)
 //! offset 11  u8       reserved (written as 0)
 //! offset 12  u64 LE   content hash of the dataset the payload serves
 //! offset 20  u32 LE   CRC-32 of the payload
@@ -29,14 +30,12 @@
 //! offset 32  ...      payload
 //! ```
 //!
-//! A *single index* payload is the [`GatConfig`], the grid geometry and
-//! the four components, each through its own strict `encode`/`decode`
-//! pair. A *shard manifest* payload records the shard count, the
-//! [`Partition`] and the configuration; the per-shard indexes live in
-//! sibling single-index files keyed by each shard subset's own content
-//! hash. Shard *datasets* are not persisted — partitioning is a cheap
-//! deterministic function of the dataset, so the loader re-runs it and
-//! validates every shard snapshot against the recomputed subset.
+//! The payload is the [`GatConfig`], the grid geometry and the four
+//! components, each through its own strict `encode`/`decode` pair.
+//! Earlier builds also wrote kind-2 *shard manifests* (`*.manifest`,
+//! next to per-shard `*.shardNNN.idx` files); nothing reads them any
+//! more — [`inspect`] reports them as `unknown` and a sharded start
+//! simply misses the cache once and saves the single snapshot.
 //!
 //! [`IndexCache`] wraps the format in a directory-level API
 //! (`load_or_build`, `save`, `inspect`) used by `atsq index build`,
@@ -48,7 +47,6 @@ use crate::hicl::Hicl;
 use crate::index::GatIndex;
 use crate::itl::Itl;
 use crate::paged::AplStorage;
-use crate::sharded::{shard_config, Partition, ShardedEngine};
 use crate::tas::Tas;
 use atsq_grid::Grid;
 use atsq_storage::codec::{get_varint_u64, put_varint_u64};
@@ -67,7 +65,6 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 pub const SNAPSHOT_HEADER_LEN: usize = 32;
 
 const KIND_INDEX: u8 = 1;
-const KIND_MANIFEST: u8 = 2;
 
 fn corrupt(msg: impl Into<String>) -> Error {
     Error::Storage(msg.into())
@@ -76,7 +73,6 @@ fn corrupt(msg: impl Into<String>) -> Error {
 fn kind_name(kind: u8) -> &'static str {
     match kind {
         KIND_INDEX => "index",
-        KIND_MANIFEST => "manifest",
         _ => "unknown",
     }
 }
@@ -125,9 +121,6 @@ fn parse_frame(bytes: &[u8]) -> Result<Framed<'_>> {
         )));
     }
     let kind = bytes[10];
-    if kind != KIND_INDEX && kind != KIND_MANIFEST {
-        return Err(corrupt(format!("unknown snapshot kind {kind}")));
-    }
     let dataset_hash = u64::from_le_bytes(bytes[12..20].try_into().expect("8-byte slice"));
     let stored_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4-byte slice"));
     let payload_len = u64::from_le_bytes(bytes[24..32].try_into().expect("8-byte slice"));
@@ -159,12 +152,11 @@ fn parse_frame(bytes: &[u8]) -> Result<Framed<'_>> {
     })
 }
 
-fn check_kind(framed: &Framed<'_>, expected: u8) -> Result<()> {
-    if framed.kind != expected {
+fn check_kind(framed: &Framed<'_>) -> Result<()> {
+    if framed.kind != KIND_INDEX {
         return Err(corrupt(format!(
-            "snapshot kind mismatch: expected a {} snapshot, found a {} snapshot",
-            kind_name(expected),
-            kind_name(framed.kind)
+            "snapshot kind mismatch: expected an index snapshot, found kind {}",
+            framed.kind
         )));
     }
     Ok(())
@@ -251,7 +243,7 @@ fn decode_grid(buf: &[u8], pos: &mut usize) -> Option<Grid> {
 }
 
 // ---------------------------------------------------------------------
-// Single-index snapshots
+// Index snapshots
 // ---------------------------------------------------------------------
 
 /// Serializes a built index into snapshot bytes for `dataset` (the
@@ -301,7 +293,7 @@ pub fn read_index(bytes: &[u8], dataset: &Dataset) -> Result<GatIndex> {
 /// already computed it to derive the snapshot filename.
 fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> Result<GatIndex> {
     let framed = parse_frame(bytes)?;
-    check_kind(&framed, KIND_INDEX)?;
+    check_kind(&framed)?;
     check_dataset_hash(&framed, dataset_hash)?;
     let buf = framed.payload;
     let mut pos = 0usize;
@@ -378,98 +370,6 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
 }
 
 // ---------------------------------------------------------------------
-// Shard manifests
-// ---------------------------------------------------------------------
-
-fn partition_tag(partition: Partition) -> u8 {
-    match partition {
-        Partition::Hash => 0,
-        Partition::Spatial => 1,
-    }
-}
-
-fn partition_from_tag(tag: u8) -> Option<Partition> {
-    match tag {
-        0 => Some(Partition::Hash),
-        1 => Some(Partition::Spatial),
-        _ => None,
-    }
-}
-
-/// Serializes a sharded engine's manifest: shard count, partitioner
-/// and configuration, keyed by the *global* dataset hash. The
-/// per-shard indexes are written separately (see [`IndexCache`]).
-pub fn write_manifest(engine: &ShardedEngine, dataset: &Dataset) -> Result<Vec<u8>> {
-    write_manifest_with_hash(engine, dataset.content_hash())
-}
-
-/// [`write_manifest`] with the dataset hash precomputed (see
-/// [`write_index_with_hash`]).
-fn write_manifest_with_hash(engine: &ShardedEngine, dataset_hash: u64) -> Result<Vec<u8>> {
-    // The manifest records the engine's BASE configuration; per-shard
-    // grid depths are derived from it (see `shard_config`) and so are
-    // recomputable — persisting a tuned config would poison the key.
-    let config = *engine.base_config();
-    let mut payload = Vec::new();
-    put_varint_u64(&mut payload, engine.shard_count() as u64);
-    payload.push(partition_tag(engine.partition()));
-    encode_config(&config, &mut payload);
-    Ok(frame(KIND_MANIFEST, dataset_hash, &payload))
-}
-
-/// Decoded shard-manifest contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Manifest {
-    /// Number of shard snapshot files the manifest describes.
-    pub shards: usize,
-    /// Partitioner the shards were cut with.
-    pub partition: Partition,
-    /// Base GAT configuration (each shard's grid depth is derived
-    /// from it and the shard's point volume; see
-    /// [`crate::sharded::shard_config`]).
-    pub config: GatConfig,
-}
-
-/// Decodes and validates a shard manifest against the global dataset.
-pub fn read_manifest(bytes: &[u8], dataset: &Dataset) -> Result<Manifest> {
-    read_manifest_with_hash(bytes, dataset.content_hash())
-}
-
-/// [`read_manifest`] with the dataset hash precomputed (see
-/// [`read_index_with_hash`]).
-fn read_manifest_with_hash(bytes: &[u8], dataset_hash: u64) -> Result<Manifest> {
-    let framed = parse_frame(bytes)?;
-    check_kind(&framed, KIND_MANIFEST)?;
-    check_dataset_hash(&framed, dataset_hash)?;
-    let buf = framed.payload;
-    let mut pos = 0usize;
-    let component = |name: &str| corrupt(format!("snapshot corrupt: {name} failed to decode"));
-    let shards = get_varint_u64(buf, &mut pos)
-        .and_then(|n| usize::try_from(n).ok())
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| component("shard count"))?;
-    let partition = buf
-        .get(pos)
-        .copied()
-        .and_then(partition_from_tag)
-        .ok_or_else(|| component("partitioner"))?;
-    pos += 1;
-    let config = decode_config(buf, &mut pos).ok_or_else(|| component("GAT configuration"))?;
-    config.validate()?;
-    if pos != buf.len() {
-        return Err(corrupt(format!(
-            "snapshot corrupt: {} undecoded bytes after the manifest",
-            buf.len() - pos
-        )));
-    }
-    Ok(Manifest {
-        shards,
-        partition,
-        config,
-    })
-}
-
-// ---------------------------------------------------------------------
 // Inspection
 // ---------------------------------------------------------------------
 
@@ -477,7 +377,8 @@ fn read_manifest_with_hash(bytes: &[u8], dataset_hash: u64) -> Result<Manifest> 
 /// [`inspect`] after full checksum validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// `"index"` or `"manifest"`.
+    /// `"index"`, or `"unknown"` for any other kind byte (e.g. a
+    /// shard manifest written by an earlier build).
     pub kind: &'static str,
     /// Format version the file was written with.
     pub version: u16,
@@ -509,11 +410,10 @@ pub fn inspect(path: &Path) -> Result<SnapshotInfo> {
 pub enum CacheOutcome {
     /// Every snapshot validated and was loaded — no index build ran.
     Loaded,
-    /// Some or all of the index had to be built fresh. The string is a
-    /// complete operator-readable account: what failed to load and
-    /// why, how much *did* load (a sharded start reports
-    /// `loaded k/S shard snapshots`), and whether the replacement
-    /// snapshot was saved — render it verbatim.
+    /// The index had to be built fresh. The string is a complete
+    /// operator-readable account: what failed to load and why, and
+    /// whether the replacement snapshot was saved — render it
+    /// verbatim.
     Rebuilt(String),
 }
 
@@ -526,11 +426,10 @@ impl CacheOutcome {
 
 /// A directory of index snapshots keyed by dataset content hash.
 ///
-/// Filenames are derived from the dataset hash (and, for sharded
-/// engines, the shard count and partitioner), so one directory can
-/// cache snapshots for many datasets and sharding layouts side by
-/// side. Writes go through a temp file + rename, so a crash mid-save
-/// leaves no truncated snapshot under the final name.
+/// Filenames are derived from the dataset hash, so one directory can
+/// cache snapshots for many datasets side by side. Writes go through a
+/// temp file + rename, so a crash mid-save leaves no truncated
+/// snapshot under the final name.
 #[derive(Debug, Clone)]
 pub struct IndexCache {
     dir: PathBuf,
@@ -548,43 +447,16 @@ impl IndexCache {
     }
 
     // Filenames are keyed by dataset hash AND a digest of the GAT
-    // configuration (plus shard layout for sharded engines), so two
-    // embedders sharing one cache directory with different configs get
-    // coexisting snapshots instead of overwriting each other's on
-    // every start. The config stored in the payload stays the source
-    // of truth — `check_config` still validates it on load.
+    // configuration, so two embedders sharing one cache directory with
+    // different configs get coexisting snapshots instead of
+    // overwriting each other's on every start. The config stored in
+    // the payload stays the source of truth — `check_config` still
+    // validates it on load.
 
     fn index_path(&self, dataset_hash: u64, config: &GatConfig) -> PathBuf {
         let cfg = config_digest(config);
         self.dir
             .join(format!("gat-{dataset_hash:016x}-c{cfg:08x}.idx"))
-    }
-
-    fn manifest_path(
-        &self,
-        dataset_hash: u64,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-    ) -> PathBuf {
-        let cfg = config_digest(config);
-        self.dir.join(format!(
-            "gat-{dataset_hash:016x}-s{shards}-{partition}-c{cfg:08x}.manifest"
-        ))
-    }
-
-    fn shard_path(
-        &self,
-        dataset_hash: u64,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-        shard: usize,
-    ) -> PathBuf {
-        let cfg = config_digest(config);
-        self.dir.join(format!(
-            "gat-{dataset_hash:016x}-s{shards}-{partition}-c{cfg:08x}.shard{shard:03}.idx"
-        ))
     }
 
     /// Serializes `index` (built from `dataset`) into the cache,
@@ -650,161 +522,9 @@ impl IndexCache {
         }
     }
 
-    /// Serializes a sharded engine: one manifest plus one single-index
-    /// snapshot per shard (each keyed by its shard subset's content
-    /// hash). Returns every path written, manifest first.
-    pub fn save_sharded(&self, dataset: &Dataset, engine: &ShardedEngine) -> Result<Vec<PathBuf>> {
-        self.save_sharded_hashed(dataset.content_hash(), engine)
-    }
-
-    fn save_sharded_hashed(&self, hash: u64, engine: &ShardedEngine) -> Result<Vec<PathBuf>> {
-        let (shards, partition) = (engine.shard_count(), engine.partition());
-        // Paths are keyed by the base config so a loader holding only
-        // the requested (base) config can find them again.
-        let config = *engine.base_config();
-        let mut paths = Vec::with_capacity(shards + 1);
-        // Shard files first, manifest last: a crash mid-save leaves no
-        // manifest pointing at missing shards.
-        let manifest_path = self.manifest_path(hash, shards, partition, &config);
-        for (i, (shard_dataset, shard_index)) in engine.shard_parts().enumerate() {
-            let path = self.shard_path(hash, shards, partition, &config, i);
-            write_file(&path, &write_index(shard_index, shard_dataset)?)?;
-            paths.push(path);
-        }
-        write_file(&manifest_path, &write_manifest_with_hash(engine, hash)?)?;
-        paths.insert(0, manifest_path);
-        Ok(paths)
-    }
-
-    /// Loads a sharded engine from its manifest and per-shard
-    /// snapshots, validating the manifest against the requested
-    /// layout and every shard snapshot against its recomputed shard
-    /// subset. Any mismatch anywhere is an error (see
-    /// [`IndexCache::load_or_build_sharded`] for the fallback form).
-    pub fn load_sharded(
-        &self,
-        dataset: &Dataset,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-    ) -> Result<ShardedEngine> {
-        let hash = dataset.content_hash();
-        self.validate_manifest(hash, shards, partition, config)?;
-        ShardedEngine::assemble(dataset, shards, partition, *config, |i, shard_dataset| {
-            self.load_shard_index(hash, shards, partition, i, shard_dataset, config)
-        })
-    }
-
-    /// Reads and fully validates the manifest of a sharded layout.
-    fn validate_manifest(
-        &self,
-        hash: u64,
-        shards: usize,
-        partition: Partition,
-        config: &GatConfig,
-    ) -> Result<()> {
-        let bytes = read_file(&self.manifest_path(hash, shards, partition, config))?;
-        let manifest = read_manifest_with_hash(&bytes, hash)?;
-        if manifest.shards != shards || manifest.partition != partition {
-            return Err(corrupt(format!(
-                "stale snapshot: manifest describes {} {} shards, requested {} {} shards",
-                manifest.shards, manifest.partition, shards, partition
-            )));
-        }
-        check_config(&manifest.config, config)
-    }
-
-    /// Reads and fully validates one shard's index snapshot against
-    /// its recomputed shard subset.
-    fn load_shard_index(
-        &self,
-        hash: u64,
-        shards: usize,
-        partition: Partition,
-        shard: usize,
-        shard_dataset: &Dataset,
-        config: &GatConfig,
-    ) -> Result<GatIndex> {
-        let bytes = read_file(&self.shard_path(hash, shards, partition, config, shard))?;
-        let index = read_index(&bytes, shard_dataset)?;
-        // The snapshot stores the shard's TUNED config; recompute it
-        // from the base config + shard subset and demand equality, so
-        // snapshots written under a different tuning rule rebuild
-        // cleanly instead of loading with the wrong depth.
-        check_config(index.config(), &shard_config(config, shard_dataset))?;
-        Ok(index)
-    }
-
-    /// [`IndexCache::load_or_build`] for sharded engines, with
-    /// **per-shard granularity**: when the manifest validates, each
-    /// shard loads its own snapshot and only the shards whose
-    /// snapshots are missing or invalid are rebuilt (and re-saved) —
-    /// one flipped byte in one of S shard files costs one shard build,
-    /// not S. A manifest that fails validation means the layout itself
-    /// is untrusted, so everything is rebuilt and re-saved. As in
-    /// [`IndexCache::load_or_build`], save failures never discard
-    /// built indexes; they are reported in the outcome.
-    pub fn load_or_build_sharded(
-        &self,
-        dataset: &Dataset,
-        shards: usize,
-        partition: Partition,
-        config: GatConfig,
-    ) -> Result<(ShardedEngine, CacheOutcome)> {
-        let hash = dataset.content_hash();
-        if let Err(why) = self.validate_manifest(hash, shards, partition, &config) {
-            let engine = ShardedEngine::build_with(dataset, shards, partition, config)?;
-            let mut note = format!("built index fresh ({why})");
-            match self.save_sharded_hashed(hash, &engine) {
-                Ok(_) => note.push_str("; snapshot saved"),
-                Err(save) => note.push_str(&format!("; snapshot not saved: {save}")),
-            }
-            return Ok((engine, CacheOutcome::Rebuilt(note)));
-        }
-        let mut notes: Vec<String> = Vec::new();
-        let engine =
-            ShardedEngine::assemble(dataset, shards, partition, config, |i, shard_dataset| {
-                match self.load_shard_index(hash, shards, partition, i, shard_dataset, &config) {
-                    Ok(index) => Ok(index),
-                    Err(why) => {
-                        let index = GatIndex::build_with(
-                            shard_dataset,
-                            shard_config(&config, shard_dataset),
-                        )?;
-                        let mut note = format!("shard {i}: {why}");
-                        let saved = write_index(&index, shard_dataset).and_then(|bytes| {
-                            write_file(
-                                &self.shard_path(hash, shards, partition, &config, i),
-                                &bytes,
-                            )
-                        });
-                        if let Err(save) = saved {
-                            note.push_str(&format!("; snapshot not saved: {save}"));
-                        }
-                        notes.push(note);
-                        Ok(index)
-                    }
-                }
-            })?;
-        if notes.is_empty() {
-            Ok((engine, CacheOutcome::Loaded))
-        } else {
-            // An honest partial-load report: most of the cold-start
-            // win usually survived one damaged shard.
-            Ok((
-                engine,
-                CacheOutcome::Rebuilt(format!(
-                    "loaded {}/{} shard snapshots; rebuilt {}",
-                    shards - notes.len(),
-                    shards,
-                    notes.join("; ")
-                )),
-            ))
-        }
-    }
-
     /// Snapshot files currently in the cache directory (sorted by
-    /// name). An absent directory is an empty cache, not an error.
+    /// name), including `*.manifest` files left by earlier builds. An
+    /// absent directory is an empty cache, not an error.
     pub fn entries(&self) -> Result<Vec<PathBuf>> {
         let mut out = Vec::new();
         let entries = match std::fs::read_dir(&self.dir) {
@@ -1043,12 +763,10 @@ mod tests {
         let other = dataset(12, 5);
         let err = read_index(&bytes, &other).unwrap_err().to_string();
         assert!(err.contains("stale snapshot"), "{err}");
-        // A kind mismatch is its own error too.
-        let engine = ShardedEngine::build_with(&d, 2, Partition::Hash, small_config()).unwrap();
-        let manifest = write_manifest(&engine, &d).unwrap();
+        // A kind mismatch (e.g. a shard manifest written by an earlier
+        // build) is its own error too.
+        let manifest = frame(2, d.content_hash(), &[2, 0]);
         let err = read_index(&manifest, &d).unwrap_err().to_string();
-        assert!(err.contains("kind mismatch"), "{err}");
-        let err = read_manifest(&bytes, &d).unwrap_err().to_string();
         assert!(err.contains("kind mismatch"), "{err}");
     }
 
@@ -1164,53 +882,42 @@ mod tests {
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
+    /// A sharded engine persists nothing of its own: it shards the
+    /// index the single-index cache entry holds, for any shard count
+    /// and partitioner, and answers like the engine built directly.
     #[test]
     fn sharded_cache_roundtrips_and_validates() {
+        use crate::sharded::{Partition, ShardedEngine};
         let d = dataset(40, 7);
         let cache = temp_cache("sharded");
-        for partition in [Partition::Hash, Partition::Spatial] {
-            let (built, outcome) = cache
-                .load_or_build_sharded(&d, 3, partition, small_config())
-                .unwrap();
-            assert!(!outcome.loaded());
-            let (loaded, outcome) = cache
-                .load_or_build_sharded(&d, 3, partition, small_config())
-                .unwrap();
-            assert!(outcome.loaded(), "{outcome:?}");
-            for q in queries(&d) {
-                assert_eq!(built.atsq(&q, 5), loaded.atsq(&q, 5));
-                assert_eq!(built.oatsq(&q, 5), loaded.oatsq(&q, 5));
-            }
-        }
-        // A different shard count misses the cache and rebuilds.
-        let (_, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
+        let (index, outcome) = cache.load_or_build(&d, small_config()).unwrap();
         assert!(!outcome.loaded());
-        // Deleting one shard file fails the strict load...
-        let path = cache.shard_path(d.content_hash(), 2, Partition::Hash, &small_config(), 1);
-        std::fs::remove_file(&path).unwrap();
-        let err = cache
-            .load_sharded(&d, 2, Partition::Hash, &small_config())
-            .unwrap_err();
-        assert!(err.to_string().contains("shard001"), "{err}");
-        // ...while the fallback form rebuilds (and re-saves) only the
-        // damaged shard, loading the intact one from its snapshot.
-        let (engine, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
-        match &outcome {
-            CacheOutcome::Rebuilt(why) => {
-                assert!(why.contains("shard 1:"), "{why}");
-                assert!(!why.contains("shard 0:"), "intact shard must load: {why}");
+        drop(index);
+        for (shards, partition) in [(3, Partition::Hash), (2, Partition::Spatial)] {
+            let built = ShardedEngine::build_with(&d, shards, partition, small_config()).unwrap();
+            let (index, outcome) = cache.load_or_build(&d, small_config()).unwrap();
+            assert!(outcome.loaded(), "{outcome:?}");
+            let loaded = ShardedEngine::from_index(index, &d, shards, partition).unwrap();
+            for q in queries(&d) {
+                assert_eq!(
+                    built.try_atsq(&d, &q, 5).unwrap(),
+                    loaded.try_atsq(&d, &q, 5).unwrap()
+                );
+                assert_eq!(
+                    built.try_oatsq(&d, &q, 5).unwrap(),
+                    loaded.try_oatsq(&d, &q, 5).unwrap()
+                );
             }
-            CacheOutcome::Loaded => panic!("a missing shard file cannot fully load"),
         }
-        assert_eq!(engine.shard_count(), 2);
-        let (_, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
-        assert!(outcome.loaded(), "repaired shard snapshot should load");
+        assert_eq!(
+            cache.entries().unwrap().len(),
+            1,
+            "one snapshot for every S"
+        );
+        // A snapshot of other data cannot be sharded over this dataset.
+        let other = dataset(12, 8);
+        let index = cache.load_index(&d, &small_config()).unwrap();
+        assert!(ShardedEngine::from_index(index, &other, 2, Partition::Hash).is_err());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -1236,16 +943,6 @@ mod tests {
             }
             CacheOutcome::Loaded => panic!("nothing to load"),
         }
-        let (engine, outcome) = cache
-            .load_or_build_sharded(&d, 2, Partition::Hash, small_config())
-            .unwrap();
-        assert_eq!(engine.shard_count(), 2);
-        match &outcome {
-            CacheOutcome::Rebuilt(why) => {
-                assert!(why.contains("snapshot not saved"), "{why}")
-            }
-            CacheOutcome::Loaded => panic!("nothing to load"),
-        }
         std::fs::remove_file(&blocker).ok();
     }
 
@@ -1256,20 +953,22 @@ mod tests {
         assert!(cache.entries().unwrap().is_empty(), "cold cache is empty");
         let index = GatIndex::build_with(&d, small_config()).unwrap();
         let index_path = cache.save_index(&d, &index).unwrap();
-        let engine = ShardedEngine::build_with(&d, 2, Partition::Hash, small_config()).unwrap();
-        let paths = cache.save_sharded(&d, &engine).unwrap();
-        assert_eq!(paths.len(), 3, "manifest + 2 shards");
+        // A shard manifest left behind by an earlier build.
+        let manifest_path = cache
+            .dir()
+            .join("gat-0000000000000000-s2-hash-c00000000.manifest");
+        std::fs::write(&manifest_path, frame(2, d.content_hash(), &[2, 0])).unwrap();
 
         let info = inspect(&index_path).unwrap();
         assert_eq!(info.kind, "index");
         assert_eq!(info.version, SNAPSHOT_VERSION);
         assert_eq!(info.dataset_hash, d.content_hash());
         assert!(info.payload_bytes > 0);
-        let info = inspect(&paths[0]).unwrap();
-        assert_eq!(info.kind, "manifest");
+        let info = inspect(&manifest_path).unwrap();
+        assert_eq!(info.kind, "unknown");
 
         let entries = cache.entries().unwrap();
-        assert_eq!(entries.len(), 4, "{entries:?}");
+        assert_eq!(entries.len(), 2, "{entries:?}");
         // Inspect flags a non-snapshot file cleanly.
         let junk = cache.dir().join("junk.idx");
         std::fs::write(&junk, b"not a snapshot").unwrap();

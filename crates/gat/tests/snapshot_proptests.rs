@@ -1,8 +1,8 @@
 //! Property tests for the snapshot subsystem (the PR's acceptance
 //! criterion): an index loaded from a snapshot answers **all four
 //! query kinds identically** to the freshly built index it was
-//! serialized from — single-index and sharded (S ∈ {1, 2, 4}), across
-//! random micro-datasets, queries, `k` and `tau`.
+//! serialized from — behind one lane or sharded (S ∈ {1, 2, 4}),
+//! across random micro-datasets, queries, `k` and `tau`.
 
 use atsq_gat::snapshot::{read_index, write_index, IndexCache};
 use atsq_gat::{GatConfig, GatIndex, Partition, ShardedEngine};
@@ -102,9 +102,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sharded engines restored from an index cache answer every query
-    /// kind exactly like the engines they were saved from, for
-    /// S ∈ {1, 2, 4} and both partitioners.
+    /// A sharded engine over an index restored from the cache answers
+    /// every query kind exactly like the engine built directly, for
+    /// S ∈ {1, 2, 4} and both partitioners — from the one snapshot.
     #[test]
     fn loaded_sharded_engine_answers_identically(
         dataset in arb_dataset(),
@@ -120,19 +120,30 @@ proptest! {
         ));
         let cache = IndexCache::new(&dir);
         let config = small_config(4);
+        cache
+            .save_index(&dataset, &GatIndex::build_with(&dataset, config).expect("build"))
+            .expect("save");
         for shards in [1usize, 2, 4] {
             let built = ShardedEngine::build_with(&dataset, shards, partition, config)
                 .expect("build sharded");
-            cache.save_sharded(&dataset, &built).expect("save");
-            let loaded = cache
-                .load_sharded(&dataset, shards, partition, &config)
-                .expect("load sharded");
-            prop_assert_eq!(built.atsq(&query, k), loaded.atsq(&query, k));
-            prop_assert_eq!(built.oatsq(&query, k), loaded.oatsq(&query, k));
-            prop_assert_eq!(built.atsq_range(&query, tau), loaded.atsq_range(&query, tau));
+            let index = cache.load_index(&dataset, &config).expect("load");
+            let loaded = ShardedEngine::from_index(index, &dataset, shards, partition)
+                .expect("shard the loaded index");
             prop_assert_eq!(
-                built.oatsq_range(&query, tau),
-                loaded.oatsq_range(&query, tau)
+                built.try_atsq(&dataset, &query, k).expect("ATSQ"),
+                loaded.try_atsq(&dataset, &query, k).expect("ATSQ")
+            );
+            prop_assert_eq!(
+                built.try_oatsq(&dataset, &query, k).expect("OATSQ"),
+                loaded.try_oatsq(&dataset, &query, k).expect("OATSQ")
+            );
+            prop_assert_eq!(
+                built.try_atsq_range(&dataset, &query, tau).expect("range ATSQ"),
+                loaded.try_atsq_range(&dataset, &query, tau).expect("range ATSQ")
+            );
+            prop_assert_eq!(
+                built.try_oatsq_range(&dataset, &query, tau).expect("range OATSQ"),
+                loaded.try_oatsq_range(&dataset, &query, tau).expect("range OATSQ")
             );
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -44,35 +44,6 @@ fn scheduler_self_test_surfaces_both_orders() {
     );
 }
 
-// ---- SharedKthBound::fetch_min ----------------------------------------
-
-#[test]
-fn fetch_min_exhaustive() {
-    let report = explore("fetch_min", Config::default(), common::targets::fetch_min);
-    report.assert_ok();
-    assert!(report.schedules >= 10, "{report:?}");
-}
-
-#[test]
-fn fetch_min_load_then_store_twin_fails() {
-    let report = explore("fetch_min_racy", Config::default(), || {
-        let b = Arc::new(common::KthBound::new());
-        let writers: Vec<_> = [5.0_f64, 3.0]
-            .into_iter()
-            .map(|d| {
-                let b = Arc::clone(&b);
-                thread::spawn(move || b.tighten_racy(d))
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        assert_eq!(b.get(), 3.0, "lost update: final bound is not the min");
-    });
-    let msg = report.assert_fails();
-    assert!(msg.contains("lost update"), "unexpected failure: {msg}");
-}
-
 // ---- CityRegistry single-flight ---------------------------------------
 
 #[test]

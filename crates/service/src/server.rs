@@ -332,4 +332,44 @@ mod tests {
         server.stop();
         service.shutdown();
     }
+
+    /// `k` is outside input: the largest value the wire accepts must
+    /// come back as the full ranked list, not as a worker reserving
+    /// memory for four billion results.
+    #[test]
+    fn huge_k_over_tcp_returns_the_full_ranked_list() {
+        let dataset = generate(&CityConfig::tiny(23)).unwrap();
+        let q = generate_queries(&dataset, &QueryGenConfig::default(), 1).remove(0);
+        let service = Service::build(dataset, ServiceConfig::default()).unwrap();
+        let handle = service.handle();
+        let server = Server::bind(handle.clone(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = lines(&stream);
+
+        let request = Request::Atsq {
+            query: q.clone(),
+            k: u32::MAX as usize,
+        };
+        let line = encode_request(&request, None).to_json();
+        assert!(line.contains("\"k\":4294967295"), "{line}");
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let dataset = handle.dataset();
+        let want = handle.engine().atsq(&dataset, &q, dataset.len());
+        assert!(!want.is_empty(), "the query must match something");
+        match decode_server_reply(&reply).unwrap() {
+            ServerReply::Ok { results, .. } => {
+                let ids = |r: &[atsq_types::QueryResult]| -> Vec<_> {
+                    r.iter().map(|r| r.trajectory).collect()
+                };
+                assert_eq!(ids(&results), ids(&want));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        drop(stream);
+        server.stop();
+        service.shutdown();
+    }
 }

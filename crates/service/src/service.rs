@@ -38,9 +38,10 @@ pub struct ServiceConfig {
     /// Deadline applied to requests submitted without one. `None`
     /// means such requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Index shards ([`Service::build`] only): `1` serves one
-    /// [`GatEngine`]; above that a [`ShardedEngine`] searches all
-    /// shards in parallel per query. Per-query shard threads multiply
+    /// Verification lanes ([`Service::build`] only): `1` serves the
+    /// index behind a [`GatEngine`]; above that a [`ShardedEngine`]
+    /// verifies each query's candidates on that many lanes of the
+    /// same index in parallel. Per-query shard threads multiply
     /// with `workers` and `batch_threads`: the engine spawns up to
     /// `min(shards, cores)` threads per query, so when serving a
     /// sharded engine under saturating load keep `batch_threads` at 1
