@@ -28,11 +28,12 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// An empty accumulator for `k` results.
+    /// An empty accumulator for `k` results. `k` comes off the command
+    /// line, so nothing is reserved for it up front.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
-            entries: Vec::with_capacity(k + 1),
+            entries: Vec::new(),
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Usage:
 //! ```text
-//! experiments [fig3|fig4|fig5|fig6|fig7|fig8|stats|ablation|io|paged|prune|all]
+//! experiments [fig3|fig4|fig5|fig6|fig7|fig8|stats|ablation|io|prune|all]
 //!             [--scale S] [--queries N] [--full]
 //! ```
 //!
@@ -344,79 +344,6 @@ fn io_model(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
     }
 }
 
-/// Measured-I/O experiment (ours): the same GAT queries with the APL on
-/// real pages behind LRU buffer pools of decreasing size. Misses are
-/// *measured* page faults, so the disk-adjusted column here validates
-/// the simulated counter model of [`io_model`].
-fn paged_io(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
-    use atsq_core::{PagedAplConfig, PagedBacking};
-    println!("\n### Paged APL + cold HICL — measured page traffic (GAT, Table V defaults)");
-    println!(
-        "{:<6}{:>12}{:>12}{:>12}{:>12}{:>12}{:>12}{:>16}  (per query; fetch = {DISK_FETCH_MS} ms)",
-        "city", "pool", "wall ms", "hits", "misses", "hit%", "hicl miss", "disk-adj ms"
-    );
-    for (name, dataset, engines) in data {
-        let s = Setting::default();
-        let w = workload(dataset, &s, queries, 0x10);
-        // Reference results from the in-memory engine line-up.
-        let mem_gat = engines
-            .iter()
-            .find(|e| e.name() == "GAT")
-            .expect("GAT engine present");
-        for frames in [usize::MAX, 256, 32, 4] {
-            let label = if frames == usize::MAX {
-                "all".to_string()
-            } else {
-                frames.to_string()
-            };
-            let pool_frames = if frames == usize::MAX {
-                1 << 20
-            } else {
-                frames
-            };
-            let engine = GatEngine::build_paged(
-                dataset,
-                GatConfig::default(),
-                &PagedAplConfig {
-                    pool_frames,
-                    backing: PagedBacking::Memory,
-                    ..PagedAplConfig::default()
-                },
-            )
-            .expect("paged build");
-            let t0 = std::time::Instant::now();
-            for q in &w {
-                let got = engine.atsq(dataset, q, s.k);
-                debug_assert_eq!(got, mem_gat.atsq(dataset, q, s.k));
-                std::hint::black_box(got);
-            }
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / w.len().max(1) as f64;
-            let pool = engine
-                .index()
-                .apl()
-                .pool_stats()
-                .expect("paged backend has pool stats");
-            let hicl_misses = engine
-                .index()
-                .cold_hicl()
-                .map_or(0, |c| c.pool_stats().misses);
-            let per_query = |v: u64| v as f64 / w.len().max(1) as f64;
-            let adj = wall_ms + per_query(pool.misses + hicl_misses) * DISK_FETCH_MS;
-            println!(
-                "{:<6}{:>12}{:>12.2}{:>12.1}{:>12.1}{:>12.1}{:>12.1}{:>16.2}",
-                name,
-                label,
-                wall_ms,
-                per_query(pool.hits),
-                per_query(pool.misses),
-                pool.hit_ratio() * 100.0,
-                per_query(hicl_misses),
-                adj
-            );
-        }
-    }
-}
-
 /// Pruning-power report (ours): the work counters behind the latency
 /// figures. The paper's §V claim — GAT prunes by location and activity
 /// simultaneously — shows up as fewer candidates *and* fewer distance
@@ -545,7 +472,7 @@ fn main() {
 
     let needs_engines = matches!(
         opts.command.as_str(),
-        "fig3" | "fig4" | "fig5" | "fig6" | "fig8" | "ablation" | "io" | "paged" | "prune" | "all"
+        "fig3" | "fig4" | "fig5" | "fig6" | "fig8" | "ablation" | "io" | "prune" | "all"
     );
     let data: Vec<(String, Dataset, Vec<Engine>)> = if needs_engines {
         cities(opts.scale)
@@ -569,7 +496,6 @@ fn main() {
         "stats" => stats(opts.scale),
         "ablation" => ablation(&data, opts.queries),
         "io" => io_model(&data, opts.queries),
-        "paged" => paged_io(&data, opts.queries),
         "prune" => prune_report(&data, opts.queries),
         "all" => {
             stats(opts.scale);
@@ -581,7 +507,6 @@ fn main() {
             fig8(&data, opts.queries);
             ablation(&data, opts.queries);
             io_model(&data, opts.queries);
-            paged_io(&data, opts.queries);
             prune_report(&data, opts.queries);
         }
         other => panic!("unknown command {other}"),

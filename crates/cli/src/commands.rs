@@ -171,17 +171,12 @@ fn parse_sharding(f: &crate::args::Flags) -> Result<(usize, Partition), CliError
 fn build_engine(dataset: &Dataset, name: &str) -> Result<Engine, CliError> {
     Ok(match name {
         "gat" => Engine::Gat(GatEngine::build(dataset)?),
-        "gat-paged" => Engine::Gat(GatEngine::build_paged(
-            dataset,
-            atsq_core::GatConfig::default(),
-            &atsq_core::PagedAplConfig::default(),
-        )?),
         "il" => Engine::Il(atsq_core::IlEngine::build(dataset)),
         "rt" => Engine::Rt(atsq_core::RtEngine::build(dataset)),
         "irt" => Engine::Irt(atsq_core::IrtEngine::build(dataset)),
         other => {
             return Err(CliError::Usage(format!(
-                "--engine must be gat, gat-paged, il, rt or irt (got `{other}`)"
+                "--engine must be gat, il, rt or irt (got `{other}`)"
             )))
         }
     })
@@ -211,7 +206,7 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let points: Result<Vec<QueryPoint>, CliError> =
         stops.iter().map(|s| parse_stop(s, &dataset)).collect();
-    let query = Query::new(points?)?;
+    let query = Query::new(points?).map_err(|e| CliError::Usage(e.to_string()))?;
     let (shards, partition) = parse_sharding(&f)?;
     let engine_name = f.get("engine").unwrap_or("gat");
     let cache = f.get("index-cache").map(IndexCache::new);
@@ -943,32 +938,34 @@ u2,34.10,-118.30,20,hiking with a view
         std::fs::remove_file(snap).ok();
     }
 
+    /// Stops the matching kernels cannot rank — non-finite coordinates,
+    /// more activities than a query point may request — are usage
+    /// errors, never a panic or a NaN-ranked answer.
     #[test]
-    fn paged_engine_answers_like_memory() {
+    fn unrankable_stops_are_usage_errors() {
         let dir = std::env::temp_dir().join("atsq_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("paged.atsq");
+        let snap = dir.join("unrankable.atsq");
         let snap = snap.to_str().unwrap();
         run_ok(&["generate", "--city", "tiny", "--out", snap]);
         let dataset = load_dataset(snap).unwrap();
-        let name = dataset
-            .vocabulary()
-            .name(atsq_types::ActivityId(0))
-            .unwrap();
-        let stop = format!("10.0,10.0:{name}");
-        let mem = run_ok(&["query", "--data", snap, "--stop", &stop, "--k", "3"]);
-        let paged = run_ok(&[
-            "query",
-            "--data",
-            snap,
-            "--stop",
-            &stop,
-            "--k",
-            "3",
-            "--engine",
-            "gat-paged",
-        ]);
-        assert_eq!(mem, paged);
+        let name = |a: u32| {
+            let id = atsq_types::ActivityId(a);
+            dataset.vocabulary().name(id).unwrap().to_owned()
+        };
+        let too_many = (0..=QueryPoint::MAX_ACTIVITIES as u32)
+            .map(name)
+            .collect::<Vec<_>>()
+            .join(";");
+        for stop in [
+            format!("nan,0:{}", name(0)),
+            format!("0,inf:{}", name(0)),
+            format!("1,2:{too_many}"),
+        ] {
+            let mut out = Vec::new();
+            let err = run(&sv(&["query", "--data", snap, "--stop", &stop]), &mut out);
+            assert!(matches!(err, Err(CliError::Usage(_))), "{stop}: {err:?}");
+        }
         std::fs::remove_file(snap).ok();
     }
 

@@ -56,7 +56,7 @@ USAGE:
   atsq import   --csv FILE [--min-checkins N] [--tips
                 [--min-activity-count N] [--vocab-out FILE]] --out FILE
   atsq stats    --data FILE
-  atsq query    --data FILE [--engine gat|gat-paged|il|rt|irt] [--k N]
+  atsq query    --data FILE [--engine gat|il|rt|irt] [--k N]
                 [--ordered] [--range TAU] --stop \"x,y:act1;act2\"
                 [--stop ...] [--witness] [--shards S]
                 [--partition hash|spatial] [--index-cache DIR]

@@ -54,8 +54,7 @@ pub mod profile;
 
 pub use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
 pub use atsq_gat::{
-    snapshot, CacheOutcome, GatConfig, GatIndex, IndexCache, PagedAplConfig, PagedBacking,
-    Partition, ShardedEngine,
+    snapshot, CacheOutcome, GatConfig, GatIndex, IndexCache, Partition, ShardedEngine,
 };
 pub use atsq_matching as matching;
 pub use atsq_types as types;
@@ -108,20 +107,6 @@ impl GatEngine {
     pub fn build_with(dataset: &Dataset, config: GatConfig) -> Result<Self> {
         Ok(GatEngine {
             index: GatIndex::build_with(dataset, config)?,
-        })
-    }
-
-    /// Builds with the APL on real pages behind a buffer pool. Results
-    /// are identical to the in-memory backends; the buffer-pool
-    /// counters (`engine.index().apl().pool_stats()`) report measured
-    /// page traffic.
-    pub fn build_paged(
-        dataset: &Dataset,
-        config: GatConfig,
-        apl_config: &PagedAplConfig,
-    ) -> Result<Self> {
-        Ok(GatEngine {
-            index: GatIndex::build_paged(dataset, config, apl_config)?,
         })
     }
 
@@ -210,8 +195,8 @@ impl QueryEngine for IrtEngine {
 
 /// The sharded GAT engine behind the common interface: the same
 /// search as [`GatEngine`] with candidate verification split over the
-/// engine's lanes. Panics where [`GatEngine`] does (a paged-APL
-/// failure, a dataset other than the one indexed).
+/// engine's lanes. Panics where [`GatEngine`] does (a dataset shorter
+/// than the one indexed).
 impl QueryEngine for ShardedEngine {
     fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
         self.try_atsq(dataset, query, k)
@@ -390,6 +375,13 @@ mod tests {
                     "{} diverged (ordered)",
                     e.name()
                 );
+            }
+            // `k` comes from the command line and the wire: a `k` past
+            // the dataset must neither reserve for it nor overflow.
+            for e in &engines {
+                let n = dataset.len();
+                assert_eq!(e.atsq(&dataset, q, usize::MAX), e.atsq(&dataset, q, n));
+                assert_eq!(e.oatsq(&dataset, q, usize::MAX), e.oatsq(&dataset, q, n));
             }
         }
     }

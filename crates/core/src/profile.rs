@@ -74,7 +74,6 @@ impl Profiled for GatEngine {
     }
     fn reset_counters(&self) {
         self.index().stats().reset();
-        self.index().apl().reset_pool_stats();
     }
 }
 

@@ -76,7 +76,7 @@ impl TrajectoryPostings {
             .max()
     }
 
-    /// Serializes the posting lists for the paged backend:
+    /// Serializes the posting lists as one record of [`Apl::encode`]:
     /// `[n_lists][per list: activity id, delta-coded indexes]`, lists
     /// ascending by activity id so the encoding is deterministic.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -94,8 +94,8 @@ impl TrajectoryPostings {
     }
 
     /// Decodes [`TrajectoryPostings::to_bytes`] output. `None` on any
-    /// truncation or inconsistency — the paged backend reports that as
-    /// page corruption rather than serving partial postings.
+    /// truncation or inconsistency — the snapshot loader then rejects
+    /// the snapshot rather than serving partial postings.
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
         use atsq_storage::codec::{get_ascending, get_varint};
         let mut pos = 0;

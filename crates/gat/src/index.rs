@@ -4,12 +4,10 @@ use crate::apl::{Apl, TrajectoryPostings};
 use crate::config::GatConfig;
 use crate::hicl::Hicl;
 use crate::itl::Itl;
-use crate::paged::{storage_err, AplStorage, PagedApl, PagedAplConfig, PagedColdHicl};
 use crate::stats::IoStats;
 use crate::tas::Tas;
 use atsq_grid::{CellId, Grid};
 use atsq_types::{ActivitySet, Dataset, Rect, Result};
-use std::borrow::Cow;
 
 /// The complete GAT index over one dataset.
 ///
@@ -23,10 +21,7 @@ pub struct GatIndex {
     hicl: Hicl,
     itl: Itl,
     tas: Tas,
-    apl: AplStorage,
-    /// Cold HICL levels on pages (paged builds only); the in-memory
-    /// `hicl` keeps serving the hot levels and dynamic inserts.
-    cold_hicl: Option<PagedColdHicl>,
+    apl: Apl,
     stats: IoStats,
 }
 
@@ -36,56 +31,17 @@ impl GatIndex {
         Self::build_with(dataset, GatConfig::default())
     }
 
-    /// Builds the index with an explicit configuration and the APL on
-    /// real pages behind a buffer pool (see [`crate::paged`]). Queries
-    /// return exactly what [`GatIndex::build_with`] returns; the
-    /// difference is measured page traffic instead of simulated
-    /// counters.
-    pub fn build_paged(
-        dataset: &Dataset,
-        config: GatConfig,
-        apl_config: &PagedAplConfig,
-    ) -> Result<Self> {
-        let mut index = Self::build_with(dataset, config)?;
-        let paged =
-            PagedApl::build(dataset.trajectories().iter(), apl_config).map_err(storage_err)?;
-        index.apl = AplStorage::Paged(paged);
-        // Page the cold HICL levels too (§IV keeps levels above h on
-        // secondary storage alongside the APL).
-        index.cold_hicl = PagedColdHicl::build(&index.hicl, config.memory_level, apl_config)
-            .map_err(storage_err)?;
-        Ok(index)
-    }
-
-    /// Replaces the APL storage wholesale. The storage must cover
-    /// exactly the indexed trajectories, in order — used by tests (e.g.
-    /// fault injection through a custom page store) and by callers that
-    /// prebuilt a [`PagedApl`] over their own [`atsq_storage::PageStore`].
-    ///
-    /// # Panics
-    /// Panics when `apl` covers a different number of trajectories than
-    /// the index.
-    pub fn with_apl_storage(mut self, apl: AplStorage) -> Self {
-        assert_eq!(
-            apl.len(),
-            self.tas.len(),
-            "replacement APL must cover the indexed trajectories"
-        );
-        self.apl = apl;
-        self
-    }
-
     /// Reassembles an index from deserialized components (the snapshot
     /// loader's constructor). The caller — [`crate::snapshot`] — has
-    /// already validated cross-component consistency; the result uses
-    /// the in-memory APL backend and fresh I/O counters.
+    /// already validated cross-component consistency; the result has
+    /// fresh I/O counters.
     pub(crate) fn from_parts(
         config: GatConfig,
         grid: Grid,
         hicl: Hicl,
         itl: Itl,
         tas: Tas,
-        apl: crate::apl::Apl,
+        apl: Apl,
     ) -> Self {
         GatIndex {
             config,
@@ -93,8 +49,7 @@ impl GatIndex {
             hicl,
             itl,
             tas,
-            apl: AplStorage::Memory(apl),
-            cold_hicl: None,
+            apl,
             stats: IoStats::new(),
         }
     }
@@ -125,7 +80,7 @@ impl GatIndex {
             dataset.trajectories().iter().map(|tr| tr.all_activities()),
             config.tas_intervals,
         );
-        let apl = AplStorage::Memory(Apl::build(dataset.trajectories().iter()));
+        let apl = Apl::build(dataset.trajectories().iter());
 
         Ok(GatIndex {
             config,
@@ -134,7 +89,6 @@ impl GatIndex {
             itl,
             tas,
             apl,
-            cold_hicl: None,
             stats: IoStats::new(),
         })
     }
@@ -164,17 +118,15 @@ impl GatIndex {
         &self.tas
     }
 
-    /// The activity posting lists (either backend).
-    pub fn apl(&self) -> &AplStorage {
+    /// The activity posting lists.
+    pub fn apl(&self) -> &Apl {
         &self.apl
     }
 
-    /// Fetches the posting lists of trajectory `idx`, charging one APL
-    /// read. Borrowed from memory or fetched through the buffer pool
-    /// depending on the backend; fails only on a paged-storage error.
-    pub fn postings(&self, idx: usize) -> Result<Cow<'_, TrajectoryPostings>> {
+    /// The posting lists of trajectory `idx`, charging one APL read.
+    pub fn postings(&self, idx: usize) -> &TrajectoryPostings {
         self.stats.record_apl_read();
-        self.apl.postings(idx).map_err(storage_err)
+        self.apl.trajectory(idx)
     }
 
     /// The simulated-I/O counters.
@@ -182,47 +134,22 @@ impl GatIndex {
         &self.stats
     }
 
-    /// The paged cold HICL levels (paged builds with
-    /// `memory_level < grid_level` only).
-    pub fn cold_hicl(&self) -> Option<&PagedColdHicl> {
-        self.cold_hicl.as_ref()
-    }
-
     /// Activities present in a cell, charging a cold read when the
-    /// cell lies below the memory-resident HICL levels. With a paged
-    /// build the cold read goes through the buffer pool for real and
-    /// can therefore fail.
-    pub fn cell_activities(&self, cell: CellId) -> Result<Option<Cow<'_, ActivitySet>>> {
+    /// cell lies below the memory-resident HICL levels.
+    pub fn cell_activities(&self, cell: CellId) -> Option<&ActivitySet> {
         if cell.level > self.config.memory_level {
             self.stats.record_hicl_cold_read();
-            if let Some(cold) = &self.cold_hicl {
-                return cold
-                    .cell_activities(cell)
-                    .map(|o| o.map(Cow::Owned))
-                    .map_err(storage_err);
-            }
         }
-        Ok(self.hicl.cell_activities(cell).map(Cow::Borrowed))
+        self.hicl.cell_activities(cell)
     }
 
     /// Children of `cell` containing any wanted activity, with cold
     /// accounting as in [`GatIndex::cell_activities`].
-    pub fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Result<Vec<CellId>> {
+    pub fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Vec<CellId> {
         if cell.level + 1 > self.config.memory_level {
             self.stats.record_hicl_cold_read();
-            if let Some(cold) = &self.cold_hicl {
-                let mut out = Vec::new();
-                for child in cell.children() {
-                    if let Some(acts) = cold.cell_activities(child).map_err(storage_err)? {
-                        if acts.intersects(wanted) {
-                            out.push(child);
-                        }
-                    }
-                }
-                return Ok(out);
-            }
         }
-        Ok(self.hicl.children_with_any(cell, wanted))
+        self.hicl.children_with_any(cell, wanted)
     }
 
     /// Dynamically indexes one newly appended trajectory.
@@ -234,26 +161,15 @@ impl GatIndex {
     /// stays correct — though heavy out-of-region growth degrades
     /// pruning and warrants a rebuild.
     ///
-    /// Fails when the paged APL backend cannot append the new posting
-    /// record, and for indexes built with paged cold HICL levels
-    /// (their page records are immutable — rebuild instead); the
-    /// in-memory backend is infallible.
-    pub fn insert_trajectory(&mut self, tr: &atsq_types::Trajectory) -> Result<()> {
-        if self.cold_hicl.is_some() {
-            return Err(atsq_types::Error::InvalidConfig(
-                "dynamic inserts are not supported with paged cold HICL levels; \
-                 rebuild the index"
-                    .into(),
-            ));
-        }
+    /// # Panics
+    /// Panics when `tr` is not the next trajectory in append order.
+    pub fn insert_trajectory(&mut self, tr: &atsq_types::Trajectory) {
         assert_eq!(
             tr.id.index(),
             self.tas.len(),
             "trajectories must be indexed in append order"
         );
-        // Append the posting record first: if the paged backend fails,
-        // no other component has been touched yet.
-        self.apl.push(tr).map_err(storage_err)?;
+        self.apl.push(tr);
         for p in &tr.points {
             let cell = self.grid.leaf_cell_of(&p.loc);
             for a in p.activities.iter() {
@@ -263,7 +179,6 @@ impl GatIndex {
         }
         self.tas
             .push(&tr.all_activities(), self.config.tas_intervals);
-        Ok(())
     }
 
     /// Memory accounting for the Fig. 8 experiment.
@@ -391,9 +306,23 @@ mod tests {
         )
         .unwrap();
         let leaf = idx.grid().leaf_cell_of(&Point::new(1.0, 1.0));
+        let coffee = ActivitySet::from_raw([0]);
         let _ = idx.cell_activities(leaf); // level 4 > 2 -> cold
         let _ = idx.cell_activities(leaf.ancestor_at(1)); // hot
         assert_eq!(idx.stats().snapshot().hicl_cold_reads, 1);
+
+        // Expanding a level-2 cell reads its level-3 children: one cold
+        // read per call, however many children there are.
+        let _ = idx.children_with_any(leaf.ancestor_at(2), &coffee);
+        assert_eq!(idx.stats().snapshot().hicl_cold_reads, 2);
+        let _ = idx.children_with_any(leaf.ancestor_at(1), &coffee); // hot
+        assert_eq!(idx.stats().snapshot().hicl_cold_reads, 2);
+
+        // Each postings fetch is one APL read and never a cold read.
+        assert!(idx.postings(0).contains_all(&coffee));
+        let _ = idx.postings(1);
+        let s = idx.stats().snapshot();
+        assert_eq!((s.apl_reads, s.hicl_cold_reads), (2, 2));
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! 4. **APL** ([`apl`]) — per trajectory, a posting list from activity
 //!    to the point indexes carrying it; consulted only when a distance
 //!    must actually be evaluated. The paper stores it on disk; this
-//!    crate offers both an in-memory backend with simulated fetch
-//!    counters ([`stats::IoStats`]) and a real paged backend behind a
-//!    buffer pool ([`paged`]), selected at build time.
+//!    crate keeps it in memory and counts each fetch the paper would
+//!    make ([`stats::IoStats`]).
 //!
 //! [`search`] implements Algorithm 1 (the one search loop), the
 //! candidate retrieval of §V-A, the tightened lower bound of
@@ -38,7 +37,6 @@ pub mod hicl;
 pub mod index;
 pub mod itl;
 pub mod kernel;
-pub mod paged;
 pub mod search;
 pub mod sharded;
 pub mod snapshot;
@@ -48,7 +46,6 @@ pub mod tas;
 pub use config::GatConfig;
 pub use index::{GatIndex, MemoryReport};
 pub use kernel::{score_scalar, ScoreScratch};
-pub use paged::{AplStorage, PagedApl, PagedAplConfig, PagedBacking};
 pub use search::{
     atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_oatsq, try_oatsq_range,
 };

@@ -11,7 +11,6 @@
 
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
-use crate::paged::storage_err;
 use crate::sharded::ShardedEngine;
 use crate::stats::IoStats;
 use atsq_grid::CellId;
@@ -82,7 +81,7 @@ struct Retrieval<'a> {
 
 impl<'a> Retrieval<'a> {
     /// Seeds the traversal.
-    fn new(index: &'a GatIndex, query: &'a Query) -> Result<Self> {
+    fn new(index: &'a GatIndex, query: &'a Query) -> Self {
         let m = query.points.len();
         let mut pq = BinaryHeap::new();
         let mut frontier = vec![Vec::new(); m];
@@ -90,7 +89,7 @@ impl<'a> Retrieval<'a> {
         // Seed: all level-1 cells containing any activity of qi.Φ.
         for (q_idx, q) in query.points.iter().enumerate() {
             let root = CellId::ROOT;
-            let mut seeds = index.children_with_any(root, &q.activities)?;
+            let mut seeds = index.children_with_any(root, &q.activities);
             seeds.sort_unstable();
             for cell in seeds {
                 let mdist = index.grid().min_dist(cell, &q.loc);
@@ -103,21 +102,21 @@ impl<'a> Retrieval<'a> {
             }
         }
 
-        Ok(Retrieval {
+        Retrieval {
             index,
             query,
             pq,
             frontier,
             // The id space the index's ITL draws from.
             seen: vec![false; index.tas().len()],
-        })
+        }
     }
 
     /// Dequeues cells until at least `lambda` fresh candidates are
     /// collected (or the queue empties). Returns the new candidates;
     /// the *caller* charges `record_candidate` per returned id, on
     /// whichever lane owns the candidate's verification.
-    fn retrieve_batch(&mut self, lambda: usize) -> Result<Vec<TrajectoryId>> {
+    fn retrieve_batch(&mut self, lambda: usize) -> Vec<TrajectoryId> {
         let mut out = Vec::new();
         let leaf_level = self.index.config().grid_level;
         while out.len() < lambda {
@@ -126,7 +125,7 @@ impl<'a> Retrieval<'a> {
             remove_frontier(&mut self.frontier[entry.q_idx], entry.mdist.0, entry.cell);
             if entry.cell.level < leaf_level {
                 // Descend: children containing any query activity.
-                for child in self.index.children_with_any(entry.cell, &q.activities)? {
+                for child in self.index.children_with_any(entry.cell, &q.activities) {
                     let mdist = self.index.grid().min_dist(child, &q.loc);
                     self.pq.push(PqEntry {
                         mdist: OrdF64(mdist),
@@ -147,7 +146,7 @@ impl<'a> Retrieval<'a> {
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     fn exhausted(&self) -> bool {
@@ -169,9 +168,9 @@ impl<'a> Retrieval<'a> {
     /// virtual trajectory lower-bounds the true `Dmpm` of anything not
     /// yet retrieved, capped by the distance of the last tracked cell
     /// when the frontier list was truncated.
-    fn lower_bound(&self) -> Result<f64> {
+    fn lower_bound(&self) -> f64 {
         if !self.index.config().tight_lower_bound {
-            return Ok(self.loose_lower_bound());
+            return self.loose_lower_bound();
         }
         let m = self.index.config().lb_cells;
         let mut total = 0.0f64;
@@ -182,15 +181,15 @@ impl<'a> Retrieval<'a> {
                 // popped), so emptiness means no unvisited cell can
                 // contain qi's activities: no unseen trajectory
                 // matches qi at all.
-                return Ok(f64::INFINITY);
+                return f64::INFINITY;
             }
             // The paper's cellsn(qi): the m nearest unvisited cells.
             let head = &cells[..m.min(cells.len())];
             let qmask = QueryMask::new(&q.activities);
             let mut virtual_points = Vec::with_capacity(head.len());
             for &(mdist, cell) in head {
-                if let Some(acts) = self.index.cell_activities(cell)? {
-                    let mask = qmask.cover_mask(&acts);
+                if let Some(acts) = self.index.cell_activities(cell) {
+                    let mask = qmask.cover_mask(acts);
                     if mask != 0 {
                         virtual_points.push(CandidatePoint { dist: mdist, mask });
                     }
@@ -211,11 +210,11 @@ impl<'a> Retrieval<'a> {
                 None => cap,
             };
             if dilb.is_infinite() {
-                return Ok(f64::INFINITY);
+                return f64::INFINITY;
             }
             total += dilb;
         }
-        Ok(total)
+        total
     }
 }
 
@@ -349,9 +348,8 @@ pub(crate) struct Verifier<'a> {
 impl Verifier<'_> {
     /// Validates candidate `tr` through the index's TAS and APL (§V-C /
     /// §V-D; plus the §VI-B MIB filter for OATSQ) and computes its
-    /// distance, charging the work to `stats`. `Ok(None)` for invalid
-    /// candidates and for OATSQ candidates beyond `dk`; `Err` only on a
-    /// paged-APL storage failure.
+    /// distance, charging the work to `stats`. `None` for invalid
+    /// candidates and for OATSQ candidates beyond `dk`.
     ///
     /// ATSQ point scoring runs through the SoA batch kernel in
     /// `scratch` — bit-identical to the scalar reference (see
@@ -362,21 +360,21 @@ impl Verifier<'_> {
         tr: TrajectoryId,
         dk: f64,
         scratch: &mut ScoreScratch,
-    ) -> Result<Option<f64>> {
+    ) -> Option<f64> {
         let use_tas = self.index.config().use_tas;
         if use_tas {
             stats.record_tas_check();
             if !self.index.tas().sketch(tr.index()).covers(&self.all_acts) {
-                return Ok(None);
+                return None;
             }
         }
         stats.record_apl_read();
-        let postings = self.index.apl().postings(tr.index()).map_err(storage_err)?;
+        let postings = self.index.apl().trajectory(tr.index());
         if !postings.contains_all(&self.all_acts) {
             if use_tas {
                 stats.record_tas_false_positive();
             }
-            return Ok(None);
+            return None;
         }
         let points = &self.dataset.trajectory(tr).points;
         match self.kind {
@@ -387,20 +385,17 @@ impl Verifier<'_> {
                     let qmask = QueryMask::new(&q.activities);
                     postings.candidate_indexes_into(&q.activities, &mut scratch.indexes);
                     let cp = scratch.score(&q.loc, &qmask, points);
-                    match dmpm_from_sorted(&qmask, cp) {
-                        Some(d) => total += d,
-                        None => return Ok(None),
-                    }
+                    total += dmpm_from_sorted(&qmask, cp)?;
                 }
-                Ok(Some(total))
+                Some(total)
             }
             Verify::Oatsq => {
                 // MIB filter before the expensive dynamic program.
                 if !order_feasible(self.query, points) {
-                    return Ok(None);
+                    return None;
                 }
                 stats.record_distance();
-                Ok(min_order_match_distance(self.query, points, dk))
+                min_order_match_distance(self.query, points, dk)
             }
         }
     }
@@ -470,17 +465,17 @@ pub(crate) fn search(
     let mut sink = Sink::new(goal, dataset.len());
     let mut serial = SerialClock(fanout.map(|_| 0));
     let lambda = index.config().lambda;
-    let mut retrieval = serial.time(|| Retrieval::new(index, query))?;
+    let mut retrieval = serial.time(|| Retrieval::new(index, query));
 
     loop {
-        let batch = serial.time(|| retrieval.retrieve_batch(lambda))?;
+        let batch = serial.time(|| retrieval.retrieve_batch(lambda));
         match &mut lanes {
-            Some(lanes) => lanes.verify_batch(&verifier, &batch, &mut sink)?,
+            Some(lanes) => lanes.verify_batch(&verifier, &batch, &mut sink),
             None => {
                 for tr in batch {
                     index.stats().record_candidate();
                     let dk = sink.cutoff();
-                    if let Some(d) = verifier.verify(index.stats(), tr, dk, &mut scratch)? {
+                    if let Some(d) = verifier.verify(index.stats(), tr, dk, &mut scratch) {
                         sink.offer(d, tr);
                     }
                 }
@@ -490,7 +485,7 @@ pub(crate) fn search(
             break;
         }
         // Termination: the cutoff beats anything still unseen.
-        let dlb = serial.time(|| retrieval.lower_bound())?;
+        let dlb = serial.time(|| retrieval.lower_bound());
         if sink.cutoff() < dlb {
             break;
         }
@@ -501,8 +496,8 @@ pub(crate) fn search(
     Ok(sink.finish())
 }
 
-/// Fallible form of [`atsq`]; errs on a paged-APL failure or a
-/// `dataset` shorter than the one indexed.
+/// Fallible form of [`atsq`]; errs on a `dataset` shorter than the one
+/// indexed.
 pub fn try_atsq(
     index: &GatIndex,
     dataset: &Dataset,
@@ -516,8 +511,8 @@ pub fn try_atsq(
 /// trajectories with the smallest minimum match distance `Dmm(Q, ·)`.
 ///
 /// # Panics
-/// On a paged-APL storage failure (impossible with the in-memory
-/// backend) or a mismatched dataset; use [`try_atsq`] to handle those.
+/// On a `dataset` shorter than the one indexed; use [`try_atsq`] to
+/// handle that.
 pub fn atsq(index: &GatIndex, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
     try_atsq(index, dataset, query, k).expect("ATSQ failed")
 }

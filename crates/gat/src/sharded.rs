@@ -228,9 +228,8 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Zeroes every I/O counter, the APL pool statistics and the
-    /// busy-time accounting — the sharded equivalent of the
-    /// single-index full counter reset.
+    /// Zeroes every I/O counter and the busy-time accounting — the
+    /// sharded equivalent of the single-index full counter reset.
     pub fn reset_stats(&self) {
         for l in &self.lanes {
             l.stats.reset();
@@ -239,7 +238,6 @@ impl ShardedEngine {
             l.busy_ns.store(0, AtomicOrdering::Relaxed);
         }
         self.index.stats().reset();
-        self.index.apl().reset_pool_stats();
         // ordering: Relaxed — advisory stat reset (see above).
         self.router_busy_ns.store(0, AtomicOrdering::Relaxed);
     }
@@ -317,7 +315,7 @@ impl QueryLanes<'_> {
         verifier: &Verifier<'_>,
         batch: &[TrajectoryId],
         sink: &mut Sink,
-    ) -> Result<()> {
+    ) {
         let engine = self.engine;
         let t0 = Instant::now();
         for &tr in batch {
@@ -329,7 +327,7 @@ impl QueryLanes<'_> {
 
         let active = self.groups.iter().filter(|g| !g.is_empty()).count();
         if engine.threads > 1 && active > 1 {
-            for (d, tr) in self.verify_parallel(verifier, sink.cutoff())? {
+            for (d, tr) in self.verify_parallel(verifier, sink.cutoff()) {
                 sink.offer(d, tr);
             }
         } else {
@@ -340,7 +338,7 @@ impl QueryLanes<'_> {
                 }
                 let t0 = Instant::now();
                 for &tr in group {
-                    if let Some(d) = verifier.verify(&lane.stats, tr, sink.cutoff(), scratch)? {
+                    if let Some(d) = verifier.verify(&lane.stats, tr, sink.cutoff(), scratch) {
                         sink.offer(d, tr);
                     }
                 }
@@ -350,22 +348,17 @@ impl QueryLanes<'_> {
         for g in &mut self.groups {
             g.clear();
         }
-        Ok(())
     }
 
     /// Verifies every non-empty group on its own scoped worker thread,
     /// pruning against `dk`. Results come back in lane order; panics
     /// propagate.
-    fn verify_parallel(
-        &mut self,
-        verifier: &Verifier<'_>,
-        dk: f64,
-    ) -> Result<Vec<(f64, TrajectoryId)>> {
+    fn verify_parallel(&mut self, verifier: &Verifier<'_>, dk: f64) -> Vec<(f64, TrajectoryId)> {
         // The coordinating thread's per-query counter context (if any)
         // must follow the work onto the verification workers, or the
         // query's I/O counts would vanish into untracked threads.
         let sink = atsq_obs::current_sink();
-        let found: Vec<Result<Vec<(f64, TrajectoryId)>>> = std::thread::scope(|scope| {
+        let found: Vec<Vec<(f64, TrajectoryId)>> = std::thread::scope(|scope| {
             let lanes = self.engine.lanes.iter().zip(&self.groups);
             let handles: Vec<_> = lanes
                 .zip(&mut self.scratches)
@@ -381,8 +374,7 @@ impl QueryLanes<'_> {
                             .filter_map(|&tr| {
                                 verifier
                                     .verify(&lane.stats, tr, dk, scratch)
-                                    .map(|d| d.map(|d| (d, tr)))
-                                    .transpose()
+                                    .map(|d| (d, tr))
                             })
                             .collect();
                         lane.add_busy(i, t0);
@@ -395,11 +387,7 @@ impl QueryLanes<'_> {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        let mut merged = Vec::new();
-        for lane_found in found {
-            merged.extend(lane_found?);
-        }
-        Ok(merged)
+        found.concat()
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! Safety over speed: a snapshot is only ever used when every check
 //! passes — magic, format version, payload checksum
-//! ([`atsq_storage::page::crc32`], the same CRC the page store uses),
+//! ([`atsq_storage::crc32`], the zlib CRC-32),
 //! dataset content hash, GAT configuration, and cross-component
 //! consistency. Any mismatch yields a descriptive error and the caller
 //! falls back to a fresh build: the worst possible outcome of a
@@ -46,11 +46,10 @@ use crate::config::GatConfig;
 use crate::hicl::Hicl;
 use crate::index::GatIndex;
 use crate::itl::Itl;
-use crate::paged::AplStorage;
 use crate::tas::Tas;
 use atsq_grid::Grid;
 use atsq_storage::codec::{get_varint_u64, put_varint_u64};
-use atsq_storage::page::crc32;
+use atsq_storage::crc32;
 use atsq_types::{Dataset, Error, Rect, Result};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -249,36 +248,22 @@ fn decode_grid(buf: &[u8], pos: &mut usize) -> Option<Grid> {
 /// Serializes a built index into snapshot bytes for `dataset` (the
 /// dataset the index was built from — its content hash keys the
 /// snapshot).
-///
-/// Only plain in-memory indexes snapshot: the paged APL / cold-HICL
-/// backends hold their own page files and are rejected with
-/// [`Error::InvalidConfig`].
-pub fn write_index(index: &GatIndex, dataset: &Dataset) -> Result<Vec<u8>> {
+pub fn write_index(index: &GatIndex, dataset: &Dataset) -> Vec<u8> {
     write_index_with_hash(index, dataset.content_hash())
 }
 
 /// [`write_index`] with the dataset's content hash precomputed — the
 /// hash is a full scan of every point and save paths already computed
 /// it for the snapshot filename.
-fn write_index_with_hash(index: &GatIndex, dataset_hash: u64) -> Result<Vec<u8>> {
-    let AplStorage::Memory(apl) = index.apl() else {
-        return Err(Error::InvalidConfig(
-            "paged APL backends cannot be snapshotted; build the index in memory".into(),
-        ));
-    };
-    if index.cold_hicl().is_some() {
-        return Err(Error::InvalidConfig(
-            "indexes with paged cold HICL levels cannot be snapshotted".into(),
-        ));
-    }
+fn write_index_with_hash(index: &GatIndex, dataset_hash: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_config(index.config(), &mut payload);
     encode_grid(index.grid(), &mut payload);
     index.hicl().encode(&mut payload);
     index.itl().encode(&mut payload);
     index.tas().encode(&mut payload);
-    apl.encode(&mut payload);
-    Ok(frame(KIND_INDEX, dataset_hash, &payload))
+    index.apl().encode(&mut payload);
+    frame(KIND_INDEX, dataset_hash, &payload)
 }
 
 /// Decodes and fully validates a single-index snapshot against the
@@ -467,7 +452,7 @@ impl IndexCache {
 
     fn save_index_hashed(&self, hash: u64, index: &GatIndex) -> Result<PathBuf> {
         let path = self.index_path(hash, index.config());
-        write_file(&path, &write_index_with_hash(index, hash)?)?;
+        write_file(&path, &write_index_with_hash(index, hash))?;
         Ok(path)
     }
 
@@ -687,22 +672,22 @@ mod tests {
     fn index_snapshot_roundtrips_byte_identically() {
         let d = dataset(40, 0x5EED);
         let built = GatIndex::build_with(&d, small_config()).unwrap();
-        let bytes = write_index(&built, &d).unwrap();
+        let bytes = write_index(&built, &d);
         // Serialization is deterministic.
-        assert_eq!(bytes, write_index(&built, &d).unwrap());
+        assert_eq!(bytes, write_index(&built, &d));
         let loaded = read_index(&bytes, &d).unwrap();
         assert_eq!(loaded.config(), built.config());
         assert_eq!(loaded.tas().len(), built.tas().len());
         assert_same_answers(&built, &loaded, &d);
         // A re-serialized loaded index produces the same bytes.
-        assert_eq!(bytes, write_index(&loaded, &d).unwrap());
+        assert_eq!(bytes, write_index(&loaded, &d));
     }
 
     #[test]
     fn truncated_snapshot_is_rejected_with_distinct_error() {
         let d = dataset(12, 1);
         let built = GatIndex::build_with(&d, small_config()).unwrap();
-        let bytes = write_index(&built, &d).unwrap();
+        let bytes = write_index(&built, &d);
         // Shorter than the header.
         let err = read_index(&bytes[..16], &d).unwrap_err().to_string();
         assert!(err.contains("truncated") && err.contains("header"), "{err}");
@@ -725,7 +710,7 @@ mod tests {
     fn flipped_bytes_are_rejected_with_checksum_error() {
         let d = dataset(12, 2);
         let built = GatIndex::build_with(&d, small_config()).unwrap();
-        let bytes = write_index(&built, &d).unwrap();
+        let bytes = write_index(&built, &d);
         // Flip one payload byte at several offsets: always caught by
         // the CRC before any decoding happens.
         for offset in [0usize, 7, 101] {
@@ -746,7 +731,7 @@ mod tests {
     fn wrong_version_is_rejected_with_version_error() {
         let d = dataset(12, 3);
         let built = GatIndex::build_with(&d, small_config()).unwrap();
-        let mut bytes = write_index(&built, &d).unwrap();
+        let mut bytes = write_index(&built, &d);
         bytes[8..10].copy_from_slice(&99u16.to_le_bytes());
         let err = read_index(&bytes, &d).unwrap_err().to_string();
         assert!(
@@ -759,7 +744,7 @@ mod tests {
     fn stale_dataset_hash_is_rejected_with_stale_error() {
         let d = dataset(12, 4);
         let built = GatIndex::build_with(&d, small_config()).unwrap();
-        let bytes = write_index(&built, &d).unwrap();
+        let bytes = write_index(&built, &d);
         let other = dataset(12, 5);
         let err = read_index(&bytes, &other).unwrap_err().to_string();
         assert!(err.contains("stale snapshot"), "{err}");
@@ -807,7 +792,7 @@ mod tests {
             tas.clone(),
             Apl::build(d.trajectories()),
         );
-        let err = read_index(&write_index(&index, &d).unwrap(), &d)
+        let err = read_index(&write_index(&index, &d), &d)
             .unwrap_err()
             .to_string();
         assert!(err.contains("ITL references trajectory 99"), "{err}");
@@ -827,7 +812,7 @@ mod tests {
             tas,
             Apl::build(&long),
         );
-        let err = read_index(&write_index(&index, &d).unwrap(), &d)
+        let err = read_index(&write_index(&index, &d), &d)
             .unwrap_err()
             .to_string();
         assert!(
@@ -974,15 +959,5 @@ mod tests {
         std::fs::write(&junk, b"not a snapshot").unwrap();
         assert!(inspect(&junk).is_err());
         std::fs::remove_dir_all(cache.dir()).ok();
-    }
-
-    #[test]
-    fn paged_indexes_refuse_to_snapshot() {
-        let d = dataset(10, 9);
-        let index =
-            GatIndex::build_paged(&d, small_config(), &crate::paged::PagedAplConfig::default())
-                .unwrap();
-        let err = write_index(&index, &d).unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
     }
 }

@@ -156,46 +156,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The paged APL is a pure storage substitution: GAT over pages
-    /// (any page size / pool size) returns exactly what the in-memory
-    /// backend returns, for ATSQ and OATSQ alike.
-    #[test]
-    fn paged_backend_is_transparent(
-        dataset in arb_dataset(),
-        query in arb_query(),
-        k in 1usize..6,
-        page_size in prop::sample::select(vec![64usize, 128, 512, 4096]),
-        pool_frames in 1usize..5,
-    ) {
-        use atsq_gat::{PagedAplConfig, PagedBacking};
-        let config = GatConfig {
-            grid_level: 4,
-            memory_level: 3,
-            ..GatConfig::default()
-        };
-        let mem = GatIndex::build_with(&dataset, config).expect("memory index");
-        let paged = GatIndex::build_paged(
-            &dataset,
-            config,
-            &PagedAplConfig {
-                page_size,
-                pool_frames,
-                backing: PagedBacking::Memory,
-            },
-        )
-        .expect("paged index");
-        prop_assert_eq!(
-            atsq_gat::atsq(&paged, &dataset, &query, k),
-            atsq_gat::atsq(&mem, &dataset, &query, k),
-            "ATSQ diverged (page={}, frames={})", page_size, pool_frames
-        );
-        prop_assert_eq!(
-            atsq_gat::oatsq(&paged, &dataset, &query, k),
-            atsq_gat::oatsq(&mem, &dataset, &query, k),
-            "OATSQ diverged (page={}, frames={})", page_size, pool_frames
-        );
-    }
-
     /// Posting-list blobs roundtrip through the byte codec for
     /// arbitrary trajectories.
     #[test]

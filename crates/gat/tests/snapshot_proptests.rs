@@ -78,7 +78,7 @@ proptest! {
     ) {
         use atsq_gat::{atsq, atsq_range, oatsq, oatsq_range};
         let built = GatIndex::build_with(&dataset, small_config(grid_level)).expect("build");
-        let bytes = write_index(&built, &dataset).expect("serialize");
+        let bytes = write_index(&built, &dataset);
         let loaded = read_index(&bytes, &dataset).expect("load");
         prop_assert_eq!(
             atsq(&built, &dataset, &query, k),

@@ -13,9 +13,10 @@
 //! `q.Φ`, storing it densely as a `2^|q.Φ|` array; this is the same
 //! recurrence as the paper's hash table `H`, with the FIFO subset
 //! queue made unnecessary by dense storage. `|q.Φ|` is capped at
-//! [`QueryMask::MAX_ACTIVITIES`].
+//! [`QueryPoint::MAX_ACTIVITIES`], which [`atsq_types::Query::new`]
+//! enforces.
 
-use atsq_types::{ActivitySet, Point, TrajectoryPoint};
+use atsq_types::{ActivitySet, Point, QueryPoint, TrajectoryPoint};
 
 /// Maps the activities of one query point to bit positions, so that
 /// subsets of `q.Φ` become machine-word bitmasks.
@@ -25,25 +26,20 @@ pub struct QueryMask {
 }
 
 impl QueryMask {
-    /// Largest supported `|q.Φ|`. The dense subset table is `2^|q.Φ|`
-    /// entries, so 20 bounds it at one million f64s — far beyond any
-    /// realistic query (the paper's maximum is 5).
-    pub const MAX_ACTIVITIES: usize = 20;
-
     /// Builds the mask mapping for a query activity set.
     ///
     /// # Panics
     /// Panics if the set is empty or larger than
-    /// [`QueryMask::MAX_ACTIVITIES`].
+    /// [`QueryPoint::MAX_ACTIVITIES`].
     pub fn new(activities: &ActivitySet) -> Self {
         assert!(
             !activities.is_empty(),
             "query point must request at least one activity"
         );
         assert!(
-            activities.len() <= Self::MAX_ACTIVITIES,
+            activities.len() <= QueryPoint::MAX_ACTIVITIES,
             "query activity set larger than {} not supported",
-            Self::MAX_ACTIVITIES
+            QueryPoint::MAX_ACTIVITIES
         );
         QueryMask {
             activities: activities.clone(),

@@ -1212,12 +1212,14 @@ mod tests {
         });
         let handle = service.handle();
         // 21 activities at one stop exceeds the matching kernels'
-        // QueryMask cap and panics inside the engine.
-        let toxic = Query::new(vec![QueryPoint::new(
-            Point::new(0.0, 0.0),
-            ActivitySet::from_raw(0..21),
-        )])
-        .unwrap();
+        // QueryMask cap and panics inside the engine. `Query::new`
+        // refuses it, so build the query around the check.
+        let toxic = Query {
+            points: vec![QueryPoint::new(
+                Point::new(0.0, 0.0),
+                ActivitySet::from_raw(0..21),
+            )],
+        };
         let resp = handle.call(Request::Atsq { query: toxic, k: 3 }).unwrap();
         assert!(matches!(resp, Response::Failed { .. }), "{resp:?}");
         assert_eq!(handle.stats().failed, 1);

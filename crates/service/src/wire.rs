@@ -233,19 +233,14 @@ fn decode_query(value: &Value, dataset: &Dataset) -> Result<Query, WireError> {
                 ids.push(ActivityId(id as u32));
             }
         }
-        let activities = ActivitySet::from_ids(ids);
-        // The matching kernels cap per-point activity sets (and panic
-        // beyond the cap); refuse here so it is a protocol error, not
-        // a worker panic.
-        let max = atsq_core::matching::point_match::QueryMask::MAX_ACTIVITIES;
-        if activities.len() > max {
-            return Err(bad(format!(
-                "stop requests {} activities; at most {max} supported",
-                activities.len()
-            )));
-        }
-        points.push(QueryPoint::new(Point::new(x, y), activities));
+        points.push(QueryPoint::new(
+            Point::new(x, y),
+            ActivitySet::from_ids(ids),
+        ));
     }
+    // `Query::new` refuses what the matching kernels cannot rank
+    // (non-finite coordinates, oversized activity sets): a protocol
+    // error, not a worker panic or a NaN-ranked reply.
     Query::new(points).map_err(|e| bad(e.to_string()))
 }
 
@@ -685,6 +680,8 @@ mod tests {
             // 21 activities exceeds the matching kernels' cap; must be
             // a protocol error, not a worker panic.
             r#"{"op":"atsq","k":3,"stops":[{"x":1,"y":2,"act_ids":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20]}]}"#,
+            // An overflowing coordinate is refused, never ranked as ∞.
+            r#"{"op":"atsq","k":3,"stops":[{"x":1e999,"y":2,"act_ids":[0]}]}"#,
         ] {
             assert!(decode_client_line(bad_line, &ds).is_err(), "{bad_line}");
         }

@@ -1,4 +1,4 @@
-//! Byte codecs for on-page records.
+//! Byte codecs for index snapshot components.
 //!
 //! Posting lists are stored as LEB128 varints with delta encoding for
 //! the ascending point indexes — the standard inverted-file

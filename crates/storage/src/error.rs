@@ -8,7 +8,7 @@ use crate::page::PageId;
 use std::fmt;
 use std::io;
 
-/// Errors raised by the page store, buffer pool and record heap.
+/// Errors raised when reading or verifying pages.
 #[derive(Debug)]
 pub enum StorageError {
     /// An operating-system I/O failure.
@@ -20,24 +20,6 @@ pub enum StorageError {
         /// Human-readable cause (bad magic, checksum mismatch, ...).
         detail: String,
     },
-    /// A page id beyond the allocated range was addressed.
-    PageOutOfRange {
-        /// The offending page id.
-        page: PageId,
-        /// Number of pages currently allocated.
-        allocated: u64,
-    },
-    /// Every buffer-pool frame is pinned; nothing can be evicted.
-    PoolExhausted,
-    /// A record id addressed a slot that does not exist.
-    RecordNotFound {
-        /// Page component of the record id.
-        page: PageId,
-        /// Slot component of the record id.
-        slot: u16,
-    },
-    /// A record or page parameter was structurally invalid.
-    Invalid(String),
 }
 
 impl fmt::Display for StorageError {
@@ -47,14 +29,6 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt { page, detail } => {
                 write!(f, "page {} corrupt: {detail}", page.0)
             }
-            StorageError::PageOutOfRange { page, allocated } => {
-                write!(f, "page {} out of range ({} allocated)", page.0, allocated)
-            }
-            StorageError::PoolExhausted => write!(f, "buffer pool exhausted: all frames pinned"),
-            StorageError::RecordNotFound { page, slot } => {
-                write!(f, "record not found: page {} slot {slot}", page.0)
-            }
-            StorageError::Invalid(msg) => write!(f, "invalid storage request: {msg}"),
         }
     }
 }
@@ -63,7 +37,7 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StorageError::Io(e) => Some(e),
-            _ => None,
+            StorageError::Corrupt { .. } => None,
         }
     }
 }
@@ -95,28 +69,6 @@ mod tests {
                 },
                 "page 3 corrupt: checksum mismatch",
             ),
-            (
-                StorageError::PageOutOfRange {
-                    page: PageId(9),
-                    allocated: 4,
-                },
-                "page 9 out of range (4 allocated)",
-            ),
-            (
-                StorageError::PoolExhausted,
-                "buffer pool exhausted: all frames pinned",
-            ),
-            (
-                StorageError::RecordNotFound {
-                    page: PageId(1),
-                    slot: 7,
-                },
-                "record not found: page 1 slot 7",
-            ),
-            (
-                StorageError::Invalid("record too large".into()),
-                "invalid storage request: record too large",
-            ),
         ];
         for (err, msg) in cases {
             assert_eq!(err.to_string(), msg);
@@ -128,6 +80,10 @@ mod tests {
         let e: StorageError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
         assert!(matches!(e, StorageError::Io(_)));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(std::error::Error::source(&StorageError::PoolExhausted).is_none());
+        let corrupt = StorageError::Corrupt {
+            page: PageId(0),
+            detail: "bad magic".into(),
+        };
+        assert!(std::error::Error::source(&corrupt).is_none());
     }
 }

@@ -1,39 +1,16 @@
-//! `atsq-storage` — the disk substrate of the ATSQ reproduction.
+//! `atsq-storage` — the byte-level encodings of the index snapshots.
 //!
-//! The paper (§IV) keeps the low HICL levels and every APL posting list
-//! "on the secondary storage" and fetches them at query time. The rest
-//! of the workspace models that with simulated counters; this crate
-//! provides the real thing: a small, dependency-free page storage
-//! engine in the classical database architecture —
-//!
-//! * [`Page`] — fixed-size, checksummed pages ([`page`]),
-//! * [`PageStore`] — byte-level page I/O with in-memory, file-backed
-//!   and fault-injecting implementations ([`store`]),
-//! * [`BufferPool`] — an LRU buffer manager with pin accounting and
-//!   hit/miss statistics ([`buffer`]),
-//! * [`SlottedPage`] — the slotted-page record layout ([`slotted`]),
-//! * [`RecordHeap`] — a heap file of variable-length records with
-//!   overflow chains for records larger than one page ([`heap`]),
-//! * [`codec`] — varint and delta encoding for posting lists.
-//!
-//! `atsq-gat` builds its paged APL backend on [`RecordHeap`]; the
-//! buffer-pool statistics then replace the simulated I/O counters in
-//! the `experiments io` report with *measured* page fetches.
+//! Every GAT component serializes itself through [`codec`] (varints and
+//! delta-coded ascending runs), and a snapshot's payload is guarded by
+//! [`crc32`]. [`page`] also holds a fixed-size, checksummed [`Page`]
+//! format with its [`StorageError`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod buffer;
 pub mod codec;
 pub mod error;
-pub mod heap;
 pub mod page;
-pub mod slotted;
-pub mod store;
 
-pub use buffer::{BufferPool, PoolStats};
 pub use error::{StorageError, StorageResult};
-pub use heap::{RecordHeap, RecordId};
-pub use page::{Page, PageId, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};
-pub use slotted::SlottedPage;
-pub use store::{FaultInjectingStore, FaultPlan, FilePageStore, MemPageStore, PageStore};
+pub use page::{crc32, Page, PageId, DEFAULT_PAGE_SIZE, PAGE_HEADER_LEN};

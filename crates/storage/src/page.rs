@@ -10,11 +10,12 @@
 //! offset 12 u32  reserved (written as 0)
 //! ```
 //!
-//! The payload (everything after the header) belongs to the layer
-//! above — the slotted layout, an overflow chunk, or raw bytes. Stores
-//! call [`Page::seal`] before writing and [`Page::verify`] after
-//! reading, so torn or bit-flipped pages surface as
+//! The payload (everything after the header) belongs to the caller.
+//! Call [`Page::seal`] before writing a page and [`Page::verify`]
+//! after reading it, so torn or bit-flipped pages surface as
 //! [`crate::StorageError::Corrupt`] instead of silent garbage.
+//!
+//! [`crc32`] is the same checksum the index snapshots use.
 
 use crate::error::{StorageError, StorageResult};
 
@@ -24,15 +25,14 @@ pub const DEFAULT_PAGE_SIZE: usize = 4096;
 /// Bytes reserved for the page header.
 pub const PAGE_HEADER_LEN: usize = 16;
 
-/// Smallest page size the crate accepts. Small enough for tests to
-/// force multi-page records, large enough for the header plus one
-/// slotted record.
+/// Smallest page size the crate accepts: the header plus a
+/// 48-byte payload.
 pub const MIN_PAGE_SIZE: usize = 64;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"ATSQ");
 const VERSION: u16 = 1;
 
-/// Identifier of a page within one store (also its offset / page_size).
+/// Identifier of a page within one file (also its offset / page_size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
@@ -73,7 +73,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// One in-memory page: a boxed buffer of the store's page size.
+/// One in-memory page: a boxed buffer of `page_size` bytes.
 #[derive(Debug, Clone)]
 pub struct Page {
     buf: Box<[u8]>,
@@ -83,8 +83,7 @@ impl Page {
     /// A zeroed page of `page_size` bytes with an initialized header.
     ///
     /// # Panics
-    /// Panics if `page_size < MIN_PAGE_SIZE`; stores validate their
-    /// page size once at construction.
+    /// Panics if `page_size < MIN_PAGE_SIZE`.
     pub fn new(page_size: usize) -> Self {
         assert!(
             page_size >= MIN_PAGE_SIZE,
@@ -113,25 +112,25 @@ impl Page {
         &mut self.buf[PAGE_HEADER_LEN..]
     }
 
-    /// The raw page bytes, header included (what a store persists).
+    /// The raw page bytes, header included (what gets persisted).
     pub fn raw(&self) -> &[u8] {
         &self.buf
     }
 
-    /// Mutable raw bytes — used by stores when reading a page in.
+    /// Mutable raw bytes, for reading a page in.
     pub fn raw_mut(&mut self) -> &mut [u8] {
         &mut self.buf
     }
 
-    /// Recomputes the payload checksum into the header. Stores call
-    /// this immediately before persisting a page.
+    /// Recomputes the payload checksum into the header. Call this
+    /// immediately before persisting a page.
     pub fn seal(&mut self) {
         let crc = crc32(&self.buf[PAGE_HEADER_LEN..]);
         self.buf[8..12].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Verifies magic, version and payload checksum, naming `id` in
-    /// any error. Stores call this immediately after reading a page.
+    /// any error. Call this immediately after reading a page.
     pub fn verify(&self, id: PageId) -> StorageResult<()> {
         let magic = u32::from_le_bytes(self.buf[0..4].try_into().expect("4-byte slice"));
         if magic != MAGIC {

@@ -1,102 +1,10 @@
-//! Property tests for the storage substrate: the heap, slotted layout,
-//! codec and buffer pool must behave like their obvious in-memory
-//! models under arbitrary workloads.
+//! Property tests for the snapshot codecs: arbitrary values roundtrip,
+//! and arbitrary bytes never panic the decoders.
 
-use atsq_storage::{codec, BufferPool, MemPageStore, Page, PageId, RecordHeap, SlottedPage};
+use atsq_storage::codec;
 use proptest::prelude::*;
 
-fn heap(page_size: usize, frames: usize) -> RecordHeap<MemPageStore> {
-    let pool = BufferPool::new(MemPageStore::new(page_size).unwrap(), frames).unwrap();
-    RecordHeap::new(pool)
-}
-
 proptest! {
-    /// Every appended record reads back exactly, regardless of page
-    /// size, pool size, and record length mix (inline + chained).
-    #[test]
-    fn heap_roundtrips_arbitrary_records(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..600), 1..40),
-        page_size in 64usize..512,
-        frames in 1usize..8,
-    ) {
-        let mut h = heap(page_size, frames);
-        let ids: Vec<_> = records.iter().map(|r| h.append(r).unwrap()).collect();
-        prop_assert_eq!(h.len(), records.len() as u64);
-        // Read back in reverse to defeat any tail-page luck.
-        for (id, rec) in ids.iter().zip(&records).rev() {
-            prop_assert_eq!(&h.get(*id).unwrap(), rec);
-        }
-    }
-
-    /// Deleting a random subset leaves exactly the survivors readable.
-    #[test]
-    fn heap_deletes_only_the_deleted(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..120), 1..30),
-        seed in any::<u64>(),
-    ) {
-        let mut h = heap(128, 4);
-        let ids: Vec<_> = records.iter().map(|r| h.append(r).unwrap()).collect();
-        let doomed: Vec<bool> = (0..ids.len())
-            .map(|i| (seed.rotate_left(i as u32) & 1) == 1)
-            .collect();
-        for (id, &kill) in ids.iter().zip(&doomed) {
-            if kill && !id.is_chained() {
-                h.delete(*id).unwrap();
-            }
-        }
-        for ((id, rec), &kill) in ids.iter().zip(&records).zip(&doomed) {
-            if kill && !id.is_chained() {
-                prop_assert!(h.get(*id).is_err());
-            } else {
-                prop_assert_eq!(&h.get(*id).unwrap(), rec);
-            }
-        }
-    }
-
-    /// The slotted page agrees with a Vec<Option<record>> model under
-    /// interleaved inserts and removes.
-    #[test]
-    fn slotted_page_matches_model(
-        ops in prop::collection::vec(
-            prop_oneof![
-                prop::collection::vec(any::<u8>(), 0..40).prop_map(Some), // insert
-                Just(None),                                               // remove oldest live
-            ],
-            1..60,
-        )
-    ) {
-        let mut page = SlottedPage::init(vec![0u8; 1024]);
-        let mut model: Vec<Option<Vec<u8>>> = Vec::new();
-        for op in ops {
-            match op {
-                Some(rec) => {
-                    match page.insert(&rec) {
-                        Some(slot) => {
-                            prop_assert_eq!(slot as usize, model.len());
-                            model.push(Some(rec));
-                        }
-                        None => {
-                            // Only legal when genuinely out of space.
-                            prop_assert!(!page.fits(rec.len()));
-                        }
-                    }
-                }
-                None => {
-                    if let Some(pos) = model.iter().position(Option::is_some) {
-                        prop_assert!(page.remove(pos as u16));
-                        model[pos] = None;
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(page.slot_count() as usize, model.len());
-        for (slot, expect) in model.iter().enumerate() {
-            prop_assert_eq!(page.get(slot as u16), expect.as_deref());
-        }
-        let live = model.iter().filter(|m| m.is_some()).count();
-        prop_assert_eq!(page.live_count() as usize, live);
-    }
-
     /// Varint roundtrip over arbitrary u32 values and buffers.
     #[test]
     fn varint_roundtrip(values in prop::collection::vec(any::<u32>(), 0..50)) {
@@ -132,35 +40,5 @@ proptest! {
         let mut pos = 0;
         let _ = codec::get_ascending(&buf, &mut pos);
         prop_assert!(pos <= buf.len());
-    }
-
-    /// A buffer pool of any capacity is transparent: page contents
-    /// always match a plain Vec<Vec<u8>> model.
-    #[test]
-    fn buffer_pool_is_transparent(
-        frames in 1usize..6,
-        writes in prop::collection::vec((0u64..8, any::<u8>()), 1..80),
-    ) {
-        let pool = BufferPool::new(MemPageStore::new(128).unwrap(), frames).unwrap();
-        let mut model = [0u8; 8];
-        for _ in 0..8 {
-            pool.allocate().unwrap();
-        }
-        for &(page, byte) in &writes {
-            pool.with_page_mut(PageId(page), |pl| pl[0] = byte).unwrap();
-            model[page as usize] = byte;
-        }
-        for (i, &expect) in model.iter().enumerate() {
-            let got = pool.with_page(PageId(i as u64), |pl| pl[0]).unwrap();
-            prop_assert_eq!(got, expect);
-        }
-        // Flush, then verify directly against the store.
-        let mut store = pool.into_store().unwrap();
-        use atsq_storage::PageStore;
-        for (i, &expect) in model.iter().enumerate() {
-            let mut page = Page::new(store.page_size());
-            store.read(PageId(i as u64), &mut page).unwrap();
-            prop_assert_eq!(page.payload()[0], expect);
-        }
     }
 }

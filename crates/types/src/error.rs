@@ -12,9 +12,8 @@ pub enum Error {
     InvalidDataset(String),
     /// An index was configured with unusable parameters.
     InvalidConfig(String),
-    /// A storage backend (paged APL, snapshot file) failed. Carries the
-    /// rendered storage error; the structured form lives in
-    /// `atsq-storage`, which this crate deliberately does not depend on.
+    /// Reading or writing an index snapshot failed: an I/O error, or a
+    /// file that is corrupt, stale or for another configuration.
     Storage(String),
 }
 

@@ -15,6 +15,12 @@ pub struct QueryPoint {
 }
 
 impl QueryPoint {
+    /// Largest `|q.Φ|` a query may request. The matching kernels keep a
+    /// dense table over the subsets of `q.Φ` (`2^|q.Φ|` entries), so 20
+    /// bounds it at one million f64s — far beyond any realistic query
+    /// (the paper's maximum is 5).
+    pub const MAX_ACTIVITIES: usize = 20;
+
     /// Creates a query point.
     pub fn new(loc: Point, activities: ActivitySet) -> Self {
         QueryPoint { loc, activities }
@@ -33,16 +39,30 @@ pub struct Query {
 
 impl Query {
     /// Creates a query, validating that it is non-empty and that every
-    /// query point requests at least one activity (a query point with
-    /// an empty `q.Φ` has no point match by Definition 3).
+    /// query point has finite coordinates (distances to it must rank)
+    /// and requests between one and [`QueryPoint::MAX_ACTIVITIES`]
+    /// activities (a query point with an empty `q.Φ` has no point match
+    /// by Definition 3).
     pub fn new(points: Vec<QueryPoint>) -> Result<Self> {
         if points.is_empty() {
             return Err(Error::InvalidQuery("query has no locations".into()));
         }
         for (i, q) in points.iter().enumerate() {
+            if !(q.loc.x.is_finite() && q.loc.y.is_finite()) {
+                return Err(Error::InvalidQuery(format!(
+                    "query point {i} has non-finite coordinates"
+                )));
+            }
             if q.activities.is_empty() {
                 return Err(Error::InvalidQuery(format!(
                     "query point {i} has an empty activity set"
+                )));
+            }
+            if q.activities.len() > QueryPoint::MAX_ACTIVITIES {
+                return Err(Error::InvalidQuery(format!(
+                    "query point {i} requests {} activities; at most {} supported",
+                    q.activities.len(),
+                    QueryPoint::MAX_ACTIVITIES
                 )));
             }
         }
@@ -137,6 +157,28 @@ mod tests {
     fn new_rejects_empty_activity_set() {
         assert!(Query::new(vec![qp(0.0, 0.0, &[])]).is_err());
         assert!(Query::new(vec![qp(0.0, 0.0, &[1]), qp(1.0, 1.0, &[])]).is_err());
+    }
+
+    #[test]
+    fn new_rejects_non_finite_coordinates() {
+        for (x, y) in [
+            (f64::NAN, 0.0),
+            (0.0, f64::NAN),
+            (f64::INFINITY, 0.0),
+            (0.0, f64::NEG_INFINITY),
+        ] {
+            let err = Query::new(vec![qp(0.0, 0.0, &[1]), qp(x, y, &[1])]).unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "({x}, {y})");
+        }
+    }
+
+    #[test]
+    fn new_caps_activities_per_point() {
+        let max: Vec<u32> = (0..QueryPoint::MAX_ACTIVITIES as u32).collect();
+        assert!(Query::new(vec![qp(0.0, 0.0, &max)]).is_ok());
+        let over: Vec<u32> = (0..=QueryPoint::MAX_ACTIVITIES as u32).collect();
+        let err = Query::new(vec![qp(0.0, 0.0, &over)]).unwrap_err();
+        assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn incremental_index_equals_rebuilt_index() {
     let mut index = GatIndex::build_with(&dataset, config()).unwrap();
     for tr in &full.trajectories()[half..] {
         let id = dataset.append_trajectory(tr.points.clone()).unwrap();
-        index.insert_trajectory(dataset.trajectory(id)).unwrap();
+        index.insert_trajectory(dataset.trajectory(id));
     }
     assert_eq!(dataset.len(), n);
     assert_eq!(index.tas().len(), n);
@@ -57,7 +57,7 @@ fn incremental_index_matches_scan_oracle() {
     let mut index = GatIndex::build_with(&dataset, config()).unwrap();
     for tr in &full.trajectories()[10..30] {
         let id = dataset.append_trajectory(tr.points.clone()).unwrap();
-        index.insert_trajectory(dataset.trajectory(id)).unwrap();
+        index.insert_trajectory(dataset.trajectory(id));
     }
     let queries = generate_queries(&dataset, &QueryGenConfig::default(), 5);
     for q in &queries {
@@ -95,7 +95,7 @@ fn append_with_new_interned_activity() {
             atsq_types::ActivitySet::from_ids([fresh]),
         )])
         .unwrap();
-    index.insert_trajectory(dataset.trajectory(id)).unwrap();
+    index.insert_trajectory(dataset.trajectory(id));
     let q = atsq_types::Query::new(vec![atsq_types::QueryPoint::new(
         atsq_types::Point::new(5.0, 5.0),
         atsq_types::ActivitySet::from_ids([fresh]),
@@ -120,7 +120,7 @@ fn out_of_region_appends_are_clamped_but_correct() {
             a.clone(),
         )])
         .unwrap();
-    index.insert_trajectory(dataset.trajectory(id)).unwrap();
+    index.insert_trajectory(dataset.trajectory(id));
     // Queries near the outlier must still find it (clamped cells keep
     // the index correct, if less selective).
     let q = atsq_types::Query::new(vec![atsq_types::QueryPoint::new(

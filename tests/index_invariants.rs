@@ -87,7 +87,7 @@ fn apl_is_exact() {
     let d = dataset();
     let idx = index(&d);
     for tr in d.trajectories() {
-        let postings = idx.postings(tr.id.index()).unwrap();
+        let postings = idx.postings(tr.id.index());
         for (i, p) in tr.points.iter().enumerate() {
             for a in p.activities.iter() {
                 assert!(postings.postings(a).contains(&(i as u32)));
