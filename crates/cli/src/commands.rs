@@ -422,7 +422,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "workers",
             "queue",
             "batch",
-            "batch-threads",
             "cache",
             "deadline-ms",
             "duration-s",
@@ -440,7 +439,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         workers: f.num("workers", defaults.workers)?,
         queue_capacity: f.num("queue", defaults.queue_capacity)?,
         batch_size: f.num("batch", defaults.batch_size)?,
-        batch_threads: f.num("batch-threads", defaults.batch_threads)?,
         cache_capacity: f.num("cache", defaults.cache_capacity)?,
         default_deadline: match f.get("deadline-ms") {
             None => None,

@@ -65,9 +65,8 @@ USAGE:
   atsq index    inspect --cache DIR
   atsq bench    --data FILE [--queries N] [--k N]
   atsq serve    (--data FILE | --cities DIR) [--addr HOST:PORT]
-                [--workers N] [--queue N] [--batch N]
-                [--batch-threads N] [--cache N] [--deadline-ms MS]
-                [--duration-s S] [--shards S]
+                [--workers N] [--queue N] [--batch N] [--cache N]
+                [--deadline-ms MS] [--duration-s S] [--shards S]
                 [--partition hash|spatial] [--index-cache DIR]
                 [--slowlog-ms MS] [--slowlog-capacity N] [--no-tracing]
                 [--tenant-memory-budget BYTES[kb|mb|gb]]

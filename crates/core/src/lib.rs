@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batch;
 pub mod profile;
 
 pub use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
@@ -58,7 +57,6 @@ pub use atsq_gat::{
 };
 pub use atsq_matching as matching;
 pub use atsq_types as types;
-pub use batch::{run_batch, run_batch_with_sinks, QueryKind};
 pub use profile::{EngineCounters, Profiled};
 
 use atsq_types::{Dataset, Query, QueryResult, Result};
@@ -72,6 +70,15 @@ pub mod prelude {
         ActivityId, ActivitySet, Dataset, DatasetBuilder, Point, Query, QueryPoint, QueryResult,
         Rect, Trajectory, TrajectoryId, TrajectoryPoint,
     };
+}
+
+/// Which of the paper's two query types to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryKind {
+    /// Order-free ATSQ (§II).
+    Atsq,
+    /// Order-sensitive OATSQ (§VI).
+    Oatsq,
 }
 
 /// The two query types of the paper behind one interface, plus their

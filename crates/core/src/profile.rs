@@ -320,4 +320,66 @@ mod tests {
         assert_eq!(ec.apl_reads, 6);
         assert_eq!(ec.cold_reads, 2);
     }
+
+    /// Runs ten queries, each inside its own [`atsq_obs::CounterScope`],
+    /// one after another, from freshly reset engine counters. Returns
+    /// the per-query deltas summed, the engine totals, and how many
+    /// queries did any engine work.
+    fn attribute_per_query<E: QueryEngine + Profiled>(
+        engine: &E,
+        dataset: &atsq_types::Dataset,
+    ) -> (atsq_obs::QueryCounters, EngineCounters, usize) {
+        use atsq_obs::{CounterScope, CounterSink};
+        let queries = generate_queries(dataset, &QueryGenConfig::default(), 10);
+        engine.reset_counters();
+        let sinks: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let sink = CounterSink::new();
+                let _ctx = CounterScope::enter(sink.clone());
+                engine.atsq(dataset, q, 5);
+                sink
+            })
+            .collect();
+        let summed = sinks
+            .iter()
+            .fold(atsq_obs::QueryCounters::default(), |acc, s| {
+                acc.add(&s.counters())
+            });
+        let with_work = sinks.iter().filter(|s| !s.counters().is_zero()).count();
+        (summed, engine.counters(), with_work)
+    }
+
+    /// Per-query sink attribution: every query's counter delta lands in
+    /// its own sink, and the deltas sum to the engine's totals.
+    #[test]
+    fn per_query_sinks_attribute_exactly() {
+        let dataset = generate(&CityConfig::tiny(9)).unwrap();
+        let engine = GatEngine::build(&dataset).unwrap();
+        let (summed, total, with_work) = attribute_per_query(&engine, &dataset);
+        assert_eq!(summed.candidates, total.candidates);
+        assert_eq!(summed.distance_evals, total.distance_evals);
+        assert_eq!(summed.apl_reads, total.apl_reads);
+        assert!(summed.candidates > 0, "queries must have done engine work");
+        // The per-query split is real, not all-on-one-sink.
+        assert!(with_work > 1, "work attributed to {with_work} sink(s)");
+    }
+
+    /// Per-query attribution survives the sharded engine's fan-out: the
+    /// lane threads inherit the caller's scope, so each query's delta
+    /// (traversal plus per-lane verification) lands in its own sink,
+    /// and the deltas sum to the engine totals, cold reads included.
+    #[test]
+    fn sharded_per_query_sinks_attribute_exactly() {
+        use crate::Partition;
+        let dataset = generate(&CityConfig::tiny(9)).unwrap();
+        let engine = ShardedEngine::build(&dataset, 4, Partition::Hash).unwrap();
+        let (summed, total, with_work) = attribute_per_query(&engine, &dataset);
+        assert_eq!(summed.candidates, total.candidates);
+        assert_eq!(summed.distance_evals, total.distance_evals);
+        assert_eq!(summed.apl_reads, total.apl_reads);
+        assert_eq!(summed.cold_reads, total.cold_reads);
+        assert!(summed.candidates > 0, "queries must have done engine work");
+        assert!(with_work > 1, "work attributed to {with_work} sink(s)");
+    }
 }

@@ -20,9 +20,11 @@
 //!    in the allowlist, so each one is a recorded decision.
 //! 3. **`panic-hot-path`** — `unwrap()` / `expect(…)` / `panic!` are
 //!    denied in the request hot path (server, service, wire, queue,
-//!    sharded engine, batch executor). An `.expect(…)` whose message
-//!    contains `invariant` is allowed — it documents a structurally
-//!    impossible failure rather than an error path.
+//!    sharded engine). An `.expect(…)` whose message contains
+//!    `invariant` is allowed — it documents a structurally impossible
+//!    failure rather than an error path. A hot-path entry that matches
+//!    no scanned file is **stale** and fails the run, so deleting or
+//!    renaming a hot file cannot quietly drop it from the rule.
 //! 4. **`atomic-snapshot-coherence`** — a function that loads two or
 //!    more distinct atomics is publishing a multi-value snapshot that
 //!    can tear; it must say why that is sound in a `coherence:`
@@ -128,13 +130,16 @@ impl Allowlist {
     }
 }
 
-/// Outcome of one scan: surviving findings plus stale waivers.
+/// Outcome of one scan: surviving findings plus stale waivers and
+/// stale hot-path entries.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Findings not covered by any allowlist entry.
     pub findings: Vec<Finding>,
     /// Allowlist entries that matched no finding.
     pub stale_allows: Vec<AllowEntry>,
+    /// Hot-path entries that matched no scanned file.
+    pub stale_hot_paths: Vec<String>,
     /// Files scanned (for `-v` style reporting and sanity tests).
     pub files_scanned: usize,
 }
@@ -142,21 +147,26 @@ pub struct Report {
 impl Report {
     /// Whether the scan should fail the build.
     pub fn is_failure(&self) -> bool {
-        !self.findings.is_empty() || !self.stale_allows.is_empty()
+        !self.findings.is_empty()
+            || !self.stale_allows.is_empty()
+            || !self.stale_hot_paths.is_empty()
     }
 }
 
 /// Hot-path files for the `panic-hot-path` rule, relative to the scan
 /// root. The request path must degrade (error replies, skipped
 /// entries) rather than take the whole worker down.
-const HOT_PATHS: &[&str] = &[
+pub const HOT_PATHS: &[&str] = &[
     "crates/service/src/server.rs",
     "crates/service/src/service.rs",
     "crates/service/src/wire.rs",
     "crates/service/src/queue.rs",
     "crates/gat/src/sharded.rs",
-    "crates/core/src/batch.rs",
 ];
+
+fn is_hot(rel: &str, hot_paths: &[&str]) -> bool {
+    hot_paths.iter().any(|p| rel.ends_with(p))
+}
 
 /// Blocking-I/O markers for the `lock-hold` rule. Matched as plain
 /// substrings against non-comment code.
@@ -190,9 +200,10 @@ const ORDERINGS: &[&str] = &[
 /// contiguous cluster such as a snapshot struct literal.
 const COMMENT_WALK_CAP: usize = 40;
 
-/// Scans `root` (a directory containing `crates/`) and returns all raw
-/// findings, before allowlist filtering.
-pub fn scan(root: &Path) -> Result<(Vec<Finding>, usize), String> {
+/// Scans `root` (a directory containing `crates/`) with `hot_paths` as
+/// the `panic-hot-path` file list and returns all raw findings, before
+/// allowlist filtering, plus the scanned files' root-relative paths.
+pub fn scan(root: &Path, hot_paths: &[&str]) -> Result<(Vec<Finding>, Vec<String>), String> {
     let mut findings = Vec::new();
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -210,7 +221,7 @@ pub fn scan(root: &Path) -> Result<(Vec<Finding>, usize), String> {
         }
     }
     files.sort();
-    let count = files.len();
+    let mut scanned = Vec::with_capacity(files.len());
     for file in &files {
         let text = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
@@ -221,14 +232,21 @@ pub fn scan(root: &Path) -> Result<(Vec<Finding>, usize), String> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        scan_file(&rel, &text, &mut findings);
+        scan_file(&rel, &text, is_hot(&rel, hot_paths), &mut findings);
+        scanned.push(rel);
     }
-    Ok((findings, count))
+    Ok((findings, scanned))
 }
 
-/// Scans and applies the allowlist; the complete front-end used by the
-/// binary and the integration tests.
+/// [`run_with`] over the workspace's own [`HOT_PATHS`]; the front-end
+/// used by the binary.
 pub fn run(root: &Path) -> Result<Report, String> {
+    run_with(root, HOT_PATHS)
+}
+
+/// Scans, applies the allowlist, and reports every `hot_paths` entry
+/// that matched no scanned file as stale.
+pub fn run_with(root: &Path, hot_paths: &[&str]) -> Result<Report, String> {
     let allow_path = root.join("lint.allow");
     let allow = if allow_path.is_file() {
         let text = std::fs::read_to_string(&allow_path)
@@ -237,7 +255,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
     } else {
         Allowlist::default()
     };
-    let (raw, files_scanned) = scan(root)?;
+    let (raw, scanned) = scan(root, hot_paths)?;
     let mut used = vec![false; allow.entries.len()];
     let mut findings = Vec::new();
     for f in raw {
@@ -258,10 +276,16 @@ pub fn run(root: &Path) -> Result<Report, String> {
         .zip(used)
         .filter_map(|(e, u)| if u { None } else { Some(e) })
         .collect();
+    let stale_hot_paths = hot_paths
+        .iter()
+        .filter(|p| !scanned.iter().any(|rel| is_hot(rel, &[p])))
+        .map(|p| p.to_string())
+        .collect();
     Ok(Report {
         findings,
         stale_allows,
-        files_scanned,
+        stale_hot_paths,
+        files_scanned: scanned.len(),
     })
 }
 
@@ -312,12 +336,14 @@ fn test_region_start(lines: &[&str]) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-fn scan_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
+fn scan_file(rel: &str, text: &str, hot: bool, findings: &mut Vec<Finding>) {
     let lines: Vec<&str> = text.lines().collect();
     let test_start = test_region_start(&lines);
     rule_lock_hold(rel, &lines, findings);
     rule_atomics_ordering(rel, &lines, findings);
-    rule_panic_hot_path(rel, &lines, test_start, findings);
+    if hot {
+        rule_panic_hot_path(rel, &lines, test_start, findings);
+    }
     rule_snapshot_coherence(rel, &lines, findings);
     rule_condvar_wait_loop(rel, &lines, findings);
     rule_unsafe_safety(rel, &lines, findings);
@@ -467,9 +493,6 @@ fn rule_atomics_ordering(rel: &str, lines: &[&str], findings: &mut Vec<Finding>)
 }
 
 fn rule_panic_hot_path(rel: &str, lines: &[&str], test_start: usize, findings: &mut Vec<Finding>) {
-    if !HOT_PATHS.iter().any(|p| rel == *p || rel.ends_with(p)) {
-        return;
-    }
     for (i, line) in lines.iter().enumerate() {
         if i >= test_start {
             break;
@@ -687,7 +710,7 @@ mod tests {
 
     fn scan_src(rel: &str, src: &str) -> Vec<Finding> {
         let mut f = Vec::new();
-        scan_file(rel, src, &mut f);
+        scan_file(rel, src, is_hot(rel, HOT_PATHS), &mut f);
         f
     }
 

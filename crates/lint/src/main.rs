@@ -1,5 +1,6 @@
 //! `cargo run -p atsq-lint [-- ROOT]` — scan the workspace and exit
-//! non-zero on any unwaived finding or stale allowlist entry.
+//! non-zero on any unwaived finding, stale allowlist entry or stale
+//! hot-path entry.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,11 +32,15 @@ fn main() -> ExitCode {
             e.line, e.rule, e.file, e.needle
         );
     }
+    for p in &report.stale_hot_paths {
+        println!("stale-hot-path: `{p}` matched no scanned file — fix or remove it");
+    }
     if report.is_failure() {
         eprintln!(
-            "atsq-lint: {} finding(s), {} stale allowlist entr(ies) across {} files",
+            "atsq-lint: {} finding(s), {} stale allowlist entr(ies), {} stale hot path(s) across {} files",
             report.findings.len(),
             report.stale_allows.len(),
+            report.stale_hot_paths.len(),
             report.files_scanned
         );
         ExitCode::FAILURE

@@ -10,20 +10,31 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// Runs the linter over a fixture tree. Fixtures are partial trees, so
+/// each names the hot-path files it holds instead of the workspace's
+/// [`atsq_lint::HOT_PATHS`], which would all read as stale.
+fn lint(name: &str) -> atsq_lint::Report {
+    let hot_paths: &[&str] = match name {
+        "panic_hot" | "allowed" => &["crates/service/src/server.rs"],
+        _ => &[],
+    };
+    atsq_lint::run_with(&fixture(name), hot_paths).expect("scan")
+}
+
 fn rules_of(report: &atsq_lint::Report) -> Vec<&'static str> {
     report.findings.iter().map(|f| f.rule).collect()
 }
 
 #[test]
 fn clean_fixture_has_no_findings() {
-    let report = atsq_lint::run(&fixture("clean")).expect("scan");
+    let report = lint("clean");
     assert!(!report.is_failure(), "{:?}", report.findings);
     assert_eq!(report.files_scanned, 1);
 }
 
 #[test]
 fn lock_hold_fixture_flags_nested_and_io_but_not_sequential() {
-    let report = atsq_lint::run(&fixture("lock_hold")).expect("scan");
+    let report = lint("lock_hold");
     let rules = rules_of(&report);
     assert_eq!(rules, ["lock-hold", "lock-hold"], "{:?}", report.findings);
     assert!(report.findings[0].message.contains("second lock"));
@@ -38,7 +49,7 @@ fn lock_hold_fixture_flags_nested_and_io_but_not_sequential() {
 
 #[test]
 fn ordering_fixture_flags_missing_comment_and_seqcst() {
-    let report = atsq_lint::run(&fixture("ordering")).expect("scan");
+    let report = lint("ordering");
     let rules = rules_of(&report);
     assert_eq!(
         rules,
@@ -52,7 +63,7 @@ fn ordering_fixture_flags_missing_comment_and_seqcst() {
 
 #[test]
 fn panic_fixture_flags_unwrap_expect_panic_only() {
-    let report = atsq_lint::run(&fixture("panic_hot")).expect("scan");
+    let report = lint("panic_hot");
     let rules = rules_of(&report);
     assert_eq!(
         rules,
@@ -69,7 +80,7 @@ fn panic_fixture_flags_unwrap_expect_panic_only() {
 
 #[test]
 fn coherence_fixture_flags_undocumented_multi_load() {
-    let report = atsq_lint::run(&fixture("coherence")).expect("scan");
+    let report = lint("coherence");
     let rules = rules_of(&report);
     assert_eq!(
         rules,
@@ -82,7 +93,7 @@ fn coherence_fixture_flags_undocumented_multi_load() {
 
 #[test]
 fn condvar_wait_fixture_flags_unlooped_wait_only() {
-    let report = atsq_lint::run(&fixture("condvar_wait")).expect("scan");
+    let report = lint("condvar_wait");
     let rules = rules_of(&report);
     assert_eq!(rules, ["condvar-wait-must-loop"], "{:?}", report.findings);
     // Only `wait_once`'s if-guarded wait is flagged; the while-looped
@@ -92,7 +103,7 @@ fn condvar_wait_fixture_flags_unlooped_wait_only() {
 
 #[test]
 fn unsafe_safety_fixture_flags_uncommented_sites_only() {
-    let report = atsq_lint::run(&fixture("unsafe_safety")).expect("scan");
+    let report = lint("unsafe_safety");
     let rules = rules_of(&report);
     assert_eq!(
         rules,
@@ -109,7 +120,7 @@ fn unsafe_safety_fixture_flags_uncommented_sites_only() {
 
 #[test]
 fn allowlist_waives_findings() {
-    let report = atsq_lint::run(&fixture("allowed")).expect("scan");
+    let report = lint("allowed");
     assert!(
         !report.is_failure(),
         "waived finding resurfaced: {:?} / stale {:?}",
@@ -120,7 +131,7 @@ fn allowlist_waives_findings() {
 
 #[test]
 fn stale_allowlist_entry_fails_the_run() {
-    let report = atsq_lint::run(&fixture("stale_allow")).expect("scan");
+    let report = lint("stale_allow");
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.stale_allows.len(), 1);
     assert_eq!(report.stale_allows[0].rule, "panic-hot-path");
@@ -128,10 +139,24 @@ fn stale_allowlist_entry_fails_the_run() {
 }
 
 #[test]
+fn stale_hot_path_entry_fails_the_run() {
+    let gone = "crates/core/src/batch.rs";
+    let report = atsq_lint::run_with(
+        &fixture("panic_hot"),
+        &["crates/service/src/server.rs", gone],
+    )
+    .expect("scan");
+    assert_eq!(report.stale_hot_paths, [gone]);
+    assert!(report.stale_allows.is_empty());
+    assert!(report.is_failure());
+}
+
+#[test]
 fn binary_exit_codes_match_report_status() {
     let bin = env!("CARGO_BIN_EXE_atsq-lint");
+    // The binary lints against the workspace's own hot paths, so only
+    // the workspace itself (the default root) can scan clean.
     let ok = std::process::Command::new(bin)
-        .arg(fixture("clean"))
         .output()
         .expect("run atsq-lint");
     assert!(ok.status.success(), "{ok:?}");
@@ -149,6 +174,13 @@ fn binary_exit_codes_match_report_status() {
     assert!(!stale.status.success());
     let stdout = String::from_utf8_lossy(&stale.stdout);
     assert!(stdout.contains("stale-allow"), "{stdout}");
+    let stale_hot = std::process::Command::new(bin)
+        .arg(fixture("clean"))
+        .output()
+        .expect("run atsq-lint");
+    assert!(!stale_hot.status.success());
+    let stdout = String::from_utf8_lossy(&stale_hot.stdout);
+    assert!(stdout.contains("stale-hot-path"), "{stdout}");
 }
 
 /// The real workspace must scan clean with its committed allowlist —
@@ -167,6 +199,12 @@ fn workspace_scans_clean() {
                 .stale_allows
                 .iter()
                 .map(|e| format!("stale lint.allow:{}", e.line)),
+        )
+        .chain(
+            report
+                .stale_hot_paths
+                .iter()
+                .map(|p| format!("stale hot path {p}")),
         )
         .collect();
     assert!(!report.is_failure(), "{}", msgs.join("\n"));

@@ -81,8 +81,8 @@ impl QueryCounters {
 }
 
 /// The destination of one query's counter deltas. Atomic because
-/// several worker threads (sharded engine, batch executor) may flush
-/// into the same query's sink concurrently.
+/// several threads (the sharded engine's lanes) may flush into the
+/// same query's sink concurrently.
 #[derive(Debug, Default)]
 pub struct CounterSink {
     candidates: AtomicU64,

@@ -22,8 +22,8 @@ pub enum Stage {
     Queue = 1,
     /// Deadline check and result-cache lookup at batch admission.
     Cache = 2,
-    /// Waiting for the request's micro-batch group to start executing
-    /// (includes earlier groups of the same drained batch).
+    /// Waiting behind the earlier cache misses of the same drained
+    /// batch, which execute one after another in submission order.
     Assembly = 3,
     /// Engine execution.
     Engine = 4,

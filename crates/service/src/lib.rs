@@ -17,11 +17,10 @@
 //!        └──────────────────── deadline expiry ◀────┘
 //! ```
 //!
-//! * **Micro-batching** — workers drain up to `batch_size` requests
+//! * **Batched draining** — workers drain up to `batch_size` requests
 //!   at once (one queue/cache pass per batch), coalesce duplicates of
-//!   the same canonical query into a single execution, and run
-//!   same-shaped top-k groups through [`atsq_core::run_batch`] with
-//!   `batch_threads`-way parallelism for bursty queues.
+//!   the same canonical query into a single execution, and run each
+//!   remaining cache miss through the engine one after another.
 //! * **Result cache** — an LRU keyed by a canonicalised query
 //!   ([`CacheKey`]): order-insensitive requests hash identically no
 //!   matter how the stops are permuted.

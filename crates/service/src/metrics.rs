@@ -113,12 +113,12 @@ pub fn render(
 
     p.counter(
         "atsq_batches_total",
-        "Micro-batches drained by workers.",
+        "Batches drained by workers.",
         snap.batches,
     );
     p.counter(
         "atsq_batched_requests_total",
-        "Requests across all drained micro-batches.",
+        "Requests across all drained batches.",
         snap.batched_requests,
     );
 

@@ -4,12 +4,10 @@ use crate::cache::LruCache;
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{CacheKey, Request, Response};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use atsq_core::{
-    run_batch_with_sinks, CacheOutcome, Engine, IndexCache, Partition, QueryEngine, QueryKind,
-};
+use atsq_core::{CacheOutcome, Engine, IndexCache, Partition, QueryEngine};
 use atsq_obs::{CounterScope, CounterSink, SlowEntry, SlowLog, Stage, StageClock, TraceReport};
 use atsq_tenant::{CityId, CityInfo, CityLease, CityRegistry, TenantError};
-use atsq_types::{Dataset, Query, QueryResult, Result as LibResult};
+use atsq_types::{Dataset, QueryResult, Result as LibResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,11 +26,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum requests a worker drains in one batch.
     pub batch_size: usize,
-    /// Threads a worker may use to execute one batch's same-shaped
-    /// top-k group through [`atsq_core::run_batch`]. Helps bursty
-    /// queues (one worker holding a deep batch while others idle);
-    /// values above 1 oversubscribe when every worker is busy.
-    pub batch_threads: usize,
     /// LRU result-cache entries; zero disables caching.
     pub cache_capacity: usize,
     /// Deadline applied to requests submitted without one. `None`
@@ -42,10 +35,9 @@ pub struct ServiceConfig {
     /// index behind a [`GatEngine`]; above that a [`ShardedEngine`]
     /// verifies each query's candidates on that many lanes of the
     /// same index in parallel. Per-query shard threads multiply
-    /// with `workers` and `batch_threads`: the engine spawns up to
-    /// `min(shards, cores)` threads per query, so when serving a
-    /// sharded engine under saturating load keep `batch_threads` at 1
-    /// to avoid oversubscribing the cores.
+    /// with `workers`: the engine spawns up to `min(shards, cores)`
+    /// threads per query, so a sharded engine under saturating load
+    /// oversubscribes the cores.
     pub shards: usize,
     /// How trajectories map to shards when `shards > 1`.
     pub partition: Partition,
@@ -82,7 +74,6 @@ impl Default for ServiceConfig {
             workers: thread::available_parallelism().map_or(4, |n| n.get()),
             queue_capacity: 1024,
             batch_size: 16,
-            batch_threads: 2,
             cache_capacity: 4096,
             default_deadline: None,
             shards: 1,
@@ -310,11 +301,8 @@ impl Service {
     }
 
     /// Stops accepting work, drains the queue, joins the workers.
-    pub fn shutdown(mut self) {
-        self.shared.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -567,10 +555,6 @@ impl ServiceHandle {
     }
 }
 
-/// Requests per (kind, k) group that make a `run_batch` worthwhile.
-/// Below this the per-call plumbing outweighs the shared setup.
-const MIN_GROUP: usize = 2;
-
 fn worker_loop(shared: &Shared) {
     while let Some(jobs) = shared.queue.pop_batch(shared.config.batch_size) {
         shared.stats.record_batch(jobs.len());
@@ -638,131 +622,41 @@ fn process_batch(shared: &Shared, jobs: Vec<Job>) {
         }
     }
 
-    // Micro-batching: same-city, same-shaped top-k requests share one
-    // `run_batch` call (one engine, one dataset per group); everything
-    // else runs individually.
-    let mut groups: HashMap<(CityId, QueryKind, usize), Vec<usize>> = HashMap::new();
-    for (i, job) in primaries.iter().enumerate() {
-        let city = job.lease.city().clone();
-        match &job.request {
-            Request::Atsq { k, .. } => groups
-                .entry((city, QueryKind::Atsq, *k))
-                .or_default()
-                .push(i),
-            Request::Oatsq { k, .. } => groups
-                .entry((city, QueryKind::Oatsq, *k))
-                .or_default()
-                .push(i),
-            Request::AtsqRange { .. } | Request::OatsqRange { .. } => {}
-        }
-    }
-
-    // One counter sink per primary: grouped members run concurrently
-    // through `run_batch_with_sinks`, and the scoped contexts keep each
-    // request's engine-counter delta exact despite the sharing.
-    let sinks: Option<Vec<Arc<CounterSink>>> = shared
-        .config
-        .tracing
-        .then(|| primaries.iter().map(|_| CounterSink::new()).collect());
-
-    let mut outcomes: Vec<Option<Result<Arc<Vec<QueryResult>>, String>>> =
-        (0..primaries.len()).map(|_| None).collect();
-    for ((_city, kind, k), members) in groups {
-        if members.len() < MIN_GROUP {
-            continue;
-        }
-        // All members hold leases on the same city; run the group
-        // against the first member's pinned engine and dataset.
-        let (group_engine, group_dataset) = {
-            let lease = &primaries[members[0]].lease;
-            (Arc::clone(lease.engine()), Arc::clone(lease.dataset()))
-        };
-        let queries: Vec<Query> = members
-            .iter()
-            .map(|&i| primaries[i].request.query().clone())
-            .collect();
-        // A later group's assembly stage absorbs earlier groups'
-        // execution time — the batch runs groups serially, and the
-        // telescoping invariant (stages sum to end-to-end) wins over
-        // attributing that wait more finely.
-        for &i in &members {
-            if let Some(c) = &mut primaries[i].clock {
-                c.mark(Stage::Assembly);
-            }
-        }
-        let member_sinks: Option<Vec<Arc<CounterSink>>> = sinks
-            .as_ref()
-            .map(|s| members.iter().map(|&i| s[i].clone()).collect());
-        let threads = members.len().min(shared.config.batch_threads.max(1));
-        match catch_execution(|| {
-            run_batch_with_sinks(
-                group_engine.as_ref(),
-                &group_dataset,
-                &queries,
-                k,
-                kind,
-                threads,
-                member_sinks.as_deref(),
-            )
-        }) {
-            Ok(batched) => {
-                for (&i, results) in members.iter().zip(batched) {
-                    outcomes[i] = Some(Ok(Arc::new(results)));
-                }
-            }
-            Err(panic_msg) => {
-                for &i in &members {
-                    outcomes[i] = Some(Err(panic_msg.clone()));
-                }
-            }
-        }
-        for &i in &members {
-            if let Some(c) = &mut primaries[i].clock {
-                c.mark(Stage::Engine);
-            }
-        }
-    }
-
     let mut replies: Vec<Result<Arc<Vec<QueryResult>>, String>> =
         Vec::with_capacity(primaries.len());
     // Collect this batch's cache inserts and take the cache lock once
     // after the loop: one lock round-trip per batch instead of one per
     // executed request keeps the hot path off the mutex.
     let mut inserts: Vec<(CityId, CacheKey, Arc<Vec<QueryResult>>)> = Vec::new();
-    for (i, mut job) in primaries.into_iter().enumerate() {
-        let outcome = match outcomes[i].take() {
-            Some(outcome) => outcome,
-            None => {
-                // Singleton request: runs alone, inside its own sink
-                // scope so its counter delta stays per-query.
-                if let Some(c) = &mut job.clock {
-                    c.mark(Stage::Assembly);
-                }
-                let sink = sinks.as_ref().map(|s| s[i].clone());
-                let outcome = catch_execution(|| {
-                    let _ctx = sink.map(CounterScope::enter);
-                    execute_single(&job)
-                })
-                .map(Arc::new);
-                if let Some(c) = &mut job.clock {
-                    c.mark(Stage::Engine);
-                }
-                outcome
-            }
-        };
-        let sink = sinks.as_ref().map(|s| &s[i]);
+    for mut job in primaries {
+        // Primaries execute in submission order; a primary's assembly
+        // stage is its wait behind the earlier primaries of its batch.
+        if let Some(c) = &mut job.clock {
+            c.mark(Stage::Assembly);
+        }
+        // Each execution runs inside its own sink scope, so its engine
+        // counter delta (lane threads included) stays per-query.
+        let sink = shared.config.tracing.then(CounterSink::new);
+        let outcome = catch_execution(|| {
+            let _ctx = sink.clone().map(CounterScope::enter);
+            execute_single(&job)
+        })
+        .map(Arc::new);
+        if let Some(c) = &mut job.clock {
+            c.mark(Stage::Engine);
+        }
         match &outcome {
             Ok(results) => {
                 shared.stats.record_cache_miss();
                 inserts.push((job.lease.city().clone(), job.key.clone(), results.clone()));
-                send_ok(shared, job, results, false, sink);
+                send_ok(shared, job, results, false, sink.as_ref());
             }
             Err(panic_msg) => {
                 shared.stats.record_failed();
                 let failed = Response::Failed {
                     error: panic_msg.clone(),
                 };
-                finish(shared, job, failed, "failed", sink);
+                finish(shared, job, failed, "failed", sink.as_ref());
             }
         }
         replies.push(outcome);
@@ -896,6 +790,7 @@ fn execute_single(job: &Job) -> Vec<QueryResult> {
 mod tests {
     use super::*;
     use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
+    use atsq_types::Query;
 
     fn tiny_service(config: ServiceConfig) -> (Service, Vec<Query>) {
         let dataset = generate(&CityConfig::tiny(11)).unwrap();
@@ -1039,10 +934,10 @@ mod tests {
 
     /// A deadline that is alive at batch admission but passes while the
     /// engine is executing must be answered `Expired`, not a stale
-    /// `Ok`. A pile of OATSQ primaries in the same batch runs first
-    /// (grouped through `run_batch`), guaranteeing the doomed request's
-    /// short deadline has passed by the time its own execution and
-    /// reply happen.
+    /// `Ok`. A pile of OATSQ primaries submitted earlier in the same
+    /// batch runs first (primaries execute in submission order),
+    /// guaranteeing the doomed request's short deadline has passed by
+    /// the time its own execution and reply happen.
     #[test]
     fn deadline_expiring_during_execution_is_reported() {
         let (service, queries) = tiny_service(ServiceConfig {
@@ -1301,7 +1196,6 @@ mod tests {
         let (service, queries) = tiny_service(ServiceConfig {
             workers: 0,
             batch_size: 64,
-            batch_threads: 1,
             cache_capacity: 0,
             slowlog_capacity: 64,
             slowlog_threshold: Duration::ZERO,
