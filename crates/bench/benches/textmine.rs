@@ -1,8 +1,16 @@
-//! Activity-mining benches: tokenizer, stemmer and the full extractor
-//! fit/extract path on a synthetic tip corpus.
+//! Activity-mining throughput: tokenizer, stemmer and the full
+//! extractor fit/extract path on a synthetic tip corpus.
+//!
+//! A self-driving harness (`harness = false`): each operation makes
+//! one untimed warm-up pass over the corpus, then `SAMPLES` timed
+//! passes, and prints the min / mean / max of those passes.
 
 use atsq_text::{stem, tokenize, ActivityExtractor, ExtractorConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Timed passes per operation.
+const SAMPLES: usize = 10;
 
 /// A deterministic fake tip corpus with realistic redundancy.
 fn corpus(n: usize) -> Vec<String> {
@@ -47,51 +55,55 @@ fn corpus(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let tips = corpus(2000);
-
-    c.bench_function("tokenize_2k_tips", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for t in &tips {
-                total += tokenize(std::hint::black_box(t)).len();
-            }
-            std::hint::black_box(total)
-        })
-    });
-
     let tokens: Vec<String> = tips.iter().flat_map(|t| tokenize(t)).collect();
-    c.bench_function("stem_corpus_tokens", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for t in &tokens {
-                total += stem(std::hint::black_box(t)).len();
-            }
-            std::hint::black_box(total)
-        })
-    });
+    let config = ExtractorConfig::default();
+    let extractor = ActivityExtractor::fit(tips.iter().map(String::as_str), &config);
 
-    c.bench_function("extractor_fit_2k", |b| {
-        b.iter(|| {
-            std::hint::black_box(ActivityExtractor::fit(
-                tips.iter().map(String::as_str),
-                &ExtractorConfig::default(),
-            ))
-        })
+    println!(
+        "textmine: {} tips, {} tokens, {SAMPLES} samples per operation",
+        tips.len(),
+        tokens.len()
+    );
+    println!(
+        "{:<24}{:>12}{:>12}{:>12}",
+        "operation", "min ms", "mean ms", "max ms"
+    );
+    time("tokenize_2k_tips", || {
+        tips.iter()
+            .map(|t| tokenize(black_box(t)).len())
+            .sum::<usize>()
     });
-
-    let extractor =
-        ActivityExtractor::fit(tips.iter().map(String::as_str), &ExtractorConfig::default());
-    c.bench_function("extractor_extract_2k", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for t in &tips {
-                total += extractor.extract(std::hint::black_box(t)).len();
-            }
-            std::hint::black_box(total)
-        })
+    time("stem_corpus_tokens", || {
+        tokens
+            .iter()
+            .map(|t| stem(black_box(t)).len())
+            .sum::<usize>()
+    });
+    time("extractor_fit_2k", || {
+        ActivityExtractor::fit(tips.iter().map(String::as_str), &config)
+    });
+    time("extractor_extract_2k", || {
+        tips.iter()
+            .map(|t| extractor.extract(black_box(t)).len())
+            .sum::<usize>()
     });
 }
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+/// Runs `pass` once to warm up, then `SAMPLES` times under the clock,
+/// and prints one table row.
+fn time<O>(name: &str, mut pass: impl FnMut() -> O) {
+    black_box(pass());
+    let ms: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(pass());
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let min = ms.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = ms.iter().copied().fold(0.0, f64::max);
+    let mean = ms.iter().sum::<f64>() / ms.len() as f64;
+    println!("{name:<24}{min:>12.3}{mean:>12.3}{max:>12.3}");
+}

@@ -13,48 +13,93 @@
 //! `--scale 1.0 --queries 50` (expect a long run).
 
 use atsq_bench::{cities, print_table, time_engine, workload, Setting};
-use atsq_core::{Engine, GatEngine, QueryEngine};
+use atsq_core::{Engine, GatEngine, Profiled, QueryEngine};
 use atsq_datagen::{generate, CityConfig};
 use atsq_gat::GatConfig;
 use atsq_types::Dataset;
+use std::str::FromStr;
 use std::time::Duration;
 
+const USAGE: &str = "\
+USAGE:
+  experiments [fig3|fig4|fig5|fig6|fig7|fig8|stats|ablation|io|prune|all]
+              [--scale S] [--queries N] [--full]";
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Command {
+    Stats,
+    Fig3,
+    Fig4,
+    Fig5,
+    Fig6,
+    Fig7,
+    Fig8,
+    Ablation,
+    Io,
+    Prune,
+    All,
+}
+
+/// Every command by name; `all` runs the others in this order.
+const COMMANDS: [(&str, Command); 11] = [
+    ("stats", Command::Stats),
+    ("fig3", Command::Fig3),
+    ("fig4", Command::Fig4),
+    ("fig5", Command::Fig5),
+    ("fig6", Command::Fig6),
+    ("fig7", Command::Fig7),
+    ("fig8", Command::Fig8),
+    ("ablation", Command::Ablation),
+    ("io", Command::Io),
+    ("prune", Command::Prune),
+    ("all", Command::All),
+];
+
+#[derive(Debug, PartialEq)]
 struct Opts {
-    command: String,
+    command: Command,
     scale: f64,
     queries: usize,
 }
 
-fn parse_args() -> Opts {
-    let mut command = "all".to_string();
-    let mut scale = 0.01;
-    let mut queries = 10usize;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--queries" => {
-                i += 1;
-                queries = args[i].parse().expect("--queries takes a count");
-            }
+/// Parses the arguments after the program name; `Err` carries the
+/// usage problem.
+fn parse(args: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts {
+        command: Command::All,
+        scale: 0.01,
+        queries: 10,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => opts.scale = value(&mut args, "--scale")?,
+            "--queries" => opts.queries = value(&mut args, "--queries")?,
             "--full" => {
-                scale = 1.0;
-                queries = 50;
+                opts.scale = 1.0;
+                opts.queries = 50;
             }
-            cmd if !cmd.starts_with('-') => command = cmd.to_string(),
-            other => panic!("unknown flag {other}"),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            name => {
+                opts.command = COMMANDS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|&(_, c)| c)
+                    .ok_or_else(|| format!("unknown command {name}"))?;
+            }
         }
-        i += 1;
     }
-    Opts {
-        command,
-        scale,
-        queries,
+    if opts.queries == 0 {
+        return Err("--queries must be at least 1".into());
     }
+    Ok(opts)
+}
+
+/// The value following `flag`, parsed.
+fn value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid value {v:?}"))
 }
 
 const ENGINE_NAMES: [&str; 4] = ["IL", "RT", "IRT", "GAT"];
@@ -240,7 +285,7 @@ fn fig8(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
             "#partition", "ATSQ ms", "OATSQ ms", "memory KiB"
         );
         for &d in &depths {
-            let engine = GatEngine::build_with(
+            let gat = GatEngine::build_with(
                 dataset,
                 GatConfig {
                     grid_level: d,
@@ -249,15 +294,11 @@ fn fig8(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
                 },
             )
             .expect("index");
-            let gat = Engine::Gat(engine);
             let s = Setting::default();
             let w = workload(dataset, &s, queries, 0x8a);
             let t_atsq = time_engine(&gat, dataset, &w, s.k, false);
             let t_oatsq = time_engine(&gat, dataset, &w, s.k, true);
-            let mem = match &gat {
-                Engine::Gat(e) => e.index().memory_report().main_memory_bytes(),
-                _ => unreachable!(),
-            };
+            let mem = gat.index().memory_report().main_memory_bytes();
             println!(
                 "{:<12}{:>12}{:>12}{:>14}",
                 format!("{0}x{0}", 1u32 << d),
@@ -266,32 +307,6 @@ fn fig8(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
                 mem / 1024
             );
         }
-    }
-}
-
-/// Per-engine fetch counters (trajectory reads for the baselines; APL
-/// reads + cold HICL page reads for GAT).
-fn engine_fetches(e: &Engine) -> u64 {
-    match e {
-        Engine::Il(il) => il.fetches(),
-        Engine::Rt(rt) => rt.fetches(),
-        Engine::Irt(irt) => irt.fetches(),
-        // GAT: one fetch per APL posting-list read. Cold HICL levels
-        // are read in spatially clustered (Z-order-contiguous) pages,
-        // not per cell, so they are reported separately rather than
-        // charged one seek each.
-        Engine::Gat(g) => g.index().stats().snapshot().apl_reads,
-        Engine::Sharded(s) => s.per_shard_stats().iter().map(|io| io.apl_reads).sum(),
-    }
-}
-
-fn reset_fetches(e: &Engine) {
-    match e {
-        Engine::Il(il) => il.reset_fetches(),
-        Engine::Rt(rt) => rt.reset_fetches(),
-        Engine::Irt(irt) => irt.reset_fetches(),
-        Engine::Gat(g) => g.index().stats().reset(),
-        Engine::Sharded(s) => s.reset_stats(),
     }
 }
 
@@ -326,9 +341,18 @@ fn io_model(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
                 queries,
             );
             for e in engines {
-                reset_fetches(e);
+                e.reset_counters();
                 let wall = time_engine(e, dataset, &w, s.k, false);
-                let fetches = engine_fetches(e) as f64 / w.len() as f64;
+                // A fetch is one APL posting-list read for GAT and one
+                // trajectory read for the baselines. Cold HICL levels
+                // are read in spatially clustered (Z-order-contiguous)
+                // pages, not per cell, so they are not charged a seek.
+                let c = e.counters();
+                let fetches = match e {
+                    Engine::Gat(_) | Engine::Sharded(_) => c.apl_reads,
+                    Engine::Il(_) | Engine::Rt(_) | Engine::Irt(_) => c.candidates,
+                };
+                let fetches = fetches as f64 / w.len().max(1) as f64;
                 let wall_ms = wall.as_secs_f64() * 1e3;
                 let adj = wall_ms + fetches * DISK_FETCH_MS;
                 println!(
@@ -349,7 +373,6 @@ fn io_model(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
 /// simultaneously — shows up as fewer candidates *and* fewer distance
 /// evaluations than any baseline at the same answer quality.
 fn prune_report(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
-    use atsq_core::Profiled;
     for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
         println!("\n### Pruning power — {label} (Table V defaults, per query)");
         println!(
@@ -443,72 +466,126 @@ fn ablation(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
         let s = Setting::default();
         let w = workload(dataset, &s, queries, 0xab);
         for (label, cfg) in &variants {
-            let engine = GatEngine::build_with(dataset, *cfg).expect("index");
-            let gat = Engine::Gat(engine);
+            let gat = GatEngine::build_with(dataset, *cfg).expect("index");
             let t_atsq = time_engine(&gat, dataset, &w, s.k, false);
             let t_oatsq = time_engine(&gat, dataset, &w, s.k, true);
-            let snap = match &gat {
-                Engine::Gat(e) => e.index().stats().snapshot(),
-                _ => unreachable!(),
-            };
+            let c = gat.counters();
             println!(
                 "{:<10}{:>12}{:>12}{:>14}{:>12}",
                 label,
                 atsq_bench::ms(t_atsq),
                 atsq_bench::ms(t_oatsq),
-                snap.candidates_retrieved,
-                snap.distances_computed
+                c.candidates,
+                c.distance_evals
             );
         }
     }
 }
 
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse(&args).unwrap_or_else(|e| {
+        eprintln!("usage error: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    });
     println!(
         "reproduction of ICDE'13 experiments — scale {}, {} queries/setting",
         opts.scale, opts.queries
     );
 
-    let needs_engines = matches!(
-        opts.command.as_str(),
-        "fig3" | "fig4" | "fig5" | "fig6" | "fig8" | "ablation" | "io" | "prune" | "all"
-    );
-    let data: Vec<(String, Dataset, Vec<Engine>)> = if needs_engines {
-        cities(opts.scale)
-            .into_iter()
-            .map(|(name, d)| {
-                let engines = Engine::build_all(&d).expect("engines");
-                (name, d, engines)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let data: Vec<(String, Dataset, Vec<Engine>)> =
+        if matches!(opts.command, Command::Stats | Command::Fig7) {
+            Vec::new()
+        } else {
+            cities(opts.scale)
+                .into_iter()
+                .map(|(name, d)| {
+                    let engines = Engine::build_all(&d).expect("engines");
+                    (name, d, engines)
+                })
+                .collect()
+        };
 
-    match opts.command.as_str() {
-        "fig3" => fig3(&data, opts.queries),
-        "fig4" => fig4(&data, opts.queries),
-        "fig5" => fig5(&data, opts.queries),
-        "fig6" => fig6(&data, opts.queries),
-        "fig7" => fig7(opts.scale, opts.queries),
-        "fig8" => fig8(&data, opts.queries),
-        "stats" => stats(opts.scale),
-        "ablation" => ablation(&data, opts.queries),
-        "io" => io_model(&data, opts.queries),
-        "prune" => prune_report(&data, opts.queries),
-        "all" => {
-            stats(opts.scale);
-            fig3(&data, opts.queries);
-            fig4(&data, opts.queries);
-            fig5(&data, opts.queries);
-            fig6(&data, opts.queries);
-            fig7(opts.scale, opts.queries);
-            fig8(&data, opts.queries);
-            ablation(&data, opts.queries);
-            io_model(&data, opts.queries);
-            prune_report(&data, opts.queries);
+    run(opts.command, &data, &opts);
+}
+
+fn run(command: Command, data: &[(String, Dataset, Vec<Engine>)], opts: &Opts) {
+    match command {
+        Command::Stats => stats(opts.scale),
+        Command::Fig3 => fig3(data, opts.queries),
+        Command::Fig4 => fig4(data, opts.queries),
+        Command::Fig5 => fig5(data, opts.queries),
+        Command::Fig6 => fig6(data, opts.queries),
+        Command::Fig7 => fig7(opts.scale, opts.queries),
+        Command::Fig8 => fig8(data, opts.queries),
+        Command::Ablation => ablation(data, opts.queries),
+        Command::Io => io_model(data, opts.queries),
+        Command::Prune => prune_report(data, opts.queries),
+        Command::All => {
+            for &(_, command) in &COMMANDS[..COMMANDS.len() - 1] {
+                run(command, data, opts);
+            }
         }
-        other => panic!("unknown command {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parses_commands_and_flags() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.command, Command::All);
+        assert_eq!((defaults.scale, defaults.queries), (0.01, 10));
+        let opts = parse(&args("fig3 --scale 0.002 --queries 2")).unwrap();
+        assert_eq!(opts.command, Command::Fig3);
+        assert_eq!((opts.scale, opts.queries), (0.002, 2));
+        let full = parse(&args("--full prune")).unwrap();
+        assert_eq!(full.command, Command::Prune);
+        assert_eq!((full.scale, full.queries), (1.0, 50));
+    }
+
+    #[test]
+    fn missing_value_is_a_usage_error() {
+        assert_eq!(
+            parse(&args("fig3 --scale")),
+            Err("--scale needs a value".into())
+        );
+        assert_eq!(
+            parse(&args("--queries")),
+            Err("--queries needs a value".into())
+        );
+    }
+
+    #[test]
+    fn invalid_value_is_a_usage_error() {
+        assert!(parse(&args("--scale big")).is_err());
+        assert!(parse(&args("--queries -1")).is_err());
+    }
+
+    #[test]
+    fn zero_queries_is_a_usage_error() {
+        assert_eq!(
+            parse(&args("io --queries 0")),
+            Err("--queries must be at least 1".into())
+        );
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error() {
+        assert_eq!(
+            parse(&args("fig3 --fast")),
+            Err("unknown flag --fast".into())
+        );
+    }
+
+    #[test]
+    fn unknown_command_is_a_usage_error() {
+        assert_eq!(parse(&args("fig9")), Err("unknown command fig9".into()));
     }
 }

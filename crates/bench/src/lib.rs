@@ -9,7 +9,7 @@
 //! in minutes; pass `--full` to the `experiments` binary (or set
 //! higher scales programmatically) for paper-scale runs.
 
-use atsq_core::{Engine, QueryEngine};
+use atsq_core::QueryEngine;
 use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
 use atsq_types::{Dataset, Query};
 use std::time::{Duration, Instant};
@@ -75,7 +75,7 @@ pub fn workload(dataset: &Dataset, setting: &Setting, n: usize, seed: u64) -> Ve
 
 /// Average per-query latency of one engine over a workload.
 pub fn time_engine(
-    engine: &Engine,
+    engine: &impl QueryEngine,
     dataset: &Dataset,
     queries: &[Query],
     k: usize,
@@ -124,6 +124,7 @@ pub fn print_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atsq_core::Engine;
 
     #[test]
     fn workload_matches_setting() {

@@ -2,9 +2,10 @@
 //!
 //! Algorithm 3 consumes candidate points as `(dist, cover-mask)` pairs
 //! sorted ascending by distance. The straightforward AoS formulation
-//! ([`score_scalar`]) interleaves a hash-map posting lookup, a distance
-//! and a mask per candidate point, which defeats autovectorization and
-//! allocates per call. The batch formulation ([`ScoreScratch::score`])
+//! (`score_scalar`, kept as the tests' reference) interleaves a
+//! hash-map posting lookup, a distance and a mask per candidate point,
+//! which defeats autovectorization and allocates per call. The batch
+//! formulation ([`ScoreScratch::score`])
 //! first *gathers* the candidate coordinates and activity masks into
 //! contiguous structure-of-arrays buffers — dropping zero-mask points
 //! at the gather so they cost no arithmetic — then computes all
@@ -148,8 +149,9 @@ impl ScoreScratch {
 
 /// The scalar AoS reference: per candidate, one distance and one mask,
 /// then a stable sort — the pre-kernel hot-loop shape, kept as the
-/// correctness baseline for `benches/kernel.rs` and the tests below.
-pub fn score_scalar(
+/// correctness baseline for the tests below.
+#[cfg(test)]
+fn score_scalar(
     q_loc: &Point,
     qmask: &QueryMask,
     points: &[TrajectoryPoint],
@@ -172,8 +174,9 @@ pub fn score_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apl::TrajectoryPostings;
     use atsq_matching::point_match::dmpm_from_sorted;
-    use atsq_types::ActivitySet;
+    use atsq_types::{ActivitySet, Trajectory, TrajectoryId};
 
     fn tp(x: f64, y: f64, acts: &[u32]) -> TrajectoryPoint {
         TrajectoryPoint::new(
@@ -201,38 +204,58 @@ mod tests {
 
     #[test]
     fn soa_matches_scalar_bit_for_bit() {
+        let query_acts = ActivitySet::from_raw([0, 2, 4]);
+        let qmask = QueryMask::new(&query_acts);
+        let q_loc = Point::new(77.0, 33.0);
+        // Which dispatch arms the APL-union inputs reached:
+        // `[< SOA_MIN_BATCH, >= SOA_MIN_BATCH]`.
+        let mut union_arms = [false; 2];
         // Sizes straddle SOA_MIN_BATCH so both dispatch arms are
         // checked against the scalar reference.
         for n in [1usize, 5, SOA_MIN_BATCH - 1, SOA_MIN_BATCH, 257] {
             let points = pseudo_points(n, 0xBEEF ^ n as u64);
-            let qmask = QueryMask::new(&ActivitySet::from_raw([0, 2, 4]));
-            let q_loc = Point::new(77.0, 33.0);
-            let indexes: Vec<u32> = (0..points.len() as u32).collect();
+            // Two index lists per point set: every point in order, and
+            // the APL union the search scores (only the points carrying
+            // a query activity, so with gaps).
+            let all: Vec<u32> = (0..points.len() as u32).collect();
+            let mut union = Vec::new();
+            TrajectoryPostings::build(&Trajectory::new(TrajectoryId(0), points.clone()))
+                .candidate_indexes_into(&query_acts, &mut union);
+            union_arms[usize::from(union.len() >= SOA_MIN_BATCH)] = true;
 
-            let scalar = score_scalar(&q_loc, &qmask, &points, &indexes);
-            let mut scratch = ScoreScratch::new();
-            scratch.indexes = indexes;
-            let soa = scratch.score(&q_loc, &qmask, &points);
+            for indexes in [all, union] {
+                let len = indexes.len();
+                let scalar = score_scalar(&q_loc, &qmask, &points, &indexes);
+                let mut scratch = ScoreScratch::new();
+                scratch.indexes = indexes;
+                let soa = scratch.score(&q_loc, &qmask, &points);
 
-            // SoA output is the scalar output minus zero-mask
-            // entries, in the same (stable) order, distances
-            // bit-identical.
-            let filtered: Vec<&CandidatePoint> = scalar.iter().filter(|c| c.mask != 0).collect();
-            assert_eq!(soa.len(), filtered.len(), "n={n}");
-            for (a, b) in soa.iter().zip(filtered) {
-                assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "n={n}");
-                assert_eq!(a.mask, b.mask, "n={n}");
+                // SoA output is the scalar output minus zero-mask
+                // entries, in the same (stable) order, distances
+                // bit-identical.
+                let filtered: Vec<&CandidatePoint> =
+                    scalar.iter().filter(|c| c.mask != 0).collect();
+                assert_eq!(soa.len(), filtered.len(), "n={n} len={len}");
+                for (a, b) in soa.iter().zip(filtered) {
+                    assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "n={n} len={len}");
+                    assert_eq!(a.mask, b.mask, "n={n} len={len}");
+                }
+
+                // And the value the search actually consumes is identical.
+                let d_soa = dmpm_from_sorted(&qmask, soa);
+                let d_scalar = dmpm_from_sorted(&qmask, &scalar);
+                assert_eq!(
+                    d_soa.map(f64::to_bits),
+                    d_scalar.map(f64::to_bits),
+                    "Dmpm must be bit-identical (n={n} len={len})"
+                );
             }
-
-            // And the value the search actually consumes is identical.
-            let d_soa = dmpm_from_sorted(&qmask, soa);
-            let d_scalar = dmpm_from_sorted(&qmask, &scalar);
-            assert_eq!(
-                d_soa.map(f64::to_bits),
-                d_scalar.map(f64::to_bits),
-                "Dmpm must be bit-identical (n={n})"
-            );
         }
+        assert_eq!(
+            union_arms,
+            [true, true],
+            "APL-union inputs must reach both dispatch arms"
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod tas;
 
 pub use config::GatConfig;
 pub use index::{GatIndex, MemoryReport};
-pub use kernel::{score_scalar, ScoreScratch};
+pub use kernel::ScoreScratch;
 pub use search::{
     atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_oatsq, try_oatsq_range,
 };

@@ -1,6 +1,6 @@
-//! Property tests for the snapshot subsystem (the PR's acceptance
-//! criterion): an index loaded from a snapshot answers **all four
-//! query kinds identically** to the freshly built index it was
+//! Property tests for the snapshot subsystem: an index loaded from a
+//! snapshot answers **all four query kinds identically** to the
+//! freshly built index it was
 //! serialized from — behind one lane or sharded (S ∈ {1, 2, 4}),
 //! across random micro-datasets, queries, `k` and `tau`.
 
