@@ -423,16 +423,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A cache directory written before sharded engines shared the
-    /// single-index snapshot: a kind-2 manifest plus one index file
-    /// per shard, byte for byte as that build wrote them for this
-    /// dataset at S = 2 (hash). Nothing reads them any more, so the
-    /// first sharded start misses, builds, and saves the one snapshot
-    /// next to them; the listing reports the manifest as `unknown`.
+    /// A cache directory written by earlier builds, byte for byte as
+    /// they wrote it for this dataset: a kind-2 manifest plus one index
+    /// file per shard at S = 2 (hash), and a format-1 single-index
+    /// snapshot under the very name this build uses. This build reads
+    /// none of them, so the first sharded start misses, builds, and
+    /// overwrites the format-1 file with a format-2 snapshot that the
+    /// next start loads; the listing reports the leftovers as
+    /// `unsupported snapshot version 1`.
     #[test]
     fn legacy_sharded_cache_dir_rebuilds_cleanly() {
         use atsq_types::{ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
-        const LEGACY: [(&str, &str); 3] = [
+        const LEGACY: [(&str, &str); 4] = [
+            (
+                "gat-fbb7ee7693c28141-cbe11c6b1.idx",
+                "41545351534e4150010001004181c29376eeb7fbfb4ca9f8fe0000000000\
+                 0000080604200803000000000000000000000000000000000000000000\
+                 000840000000000000f03f0808020002000104000103010400040d0404\
+                 00113311040044cd014404009102b30691020400c408cd19c408040091\
+                 22b366912201020201040a010301042a040d0404aa0111331104aa0544\
+                 cd014404aa159102b306910204aa55c408cd19c40804aad5029122b366\
+                 912208080001000100912201000101c4880101000102d5aa0101000103\
+                 aad50201010100bbf70201010101eedd0301010102ffff030101010304\
+                 0400000100040000010004000001000400000100040702000100010101\
+                 070200010001010107020001000101010702000100010101",
+            ),
             (
                 "gat-fbb7ee7693c28141-s2-hash-cbe11c6b1.manifest",
                 "41545351534e4150010002004181c29376eeb7fbdca5eba2080000000000\
@@ -483,8 +498,11 @@ mod tests {
         let (engine, outcome) =
             Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
         match outcome.unwrap() {
-            CacheOutcome::Rebuilt(why) => assert!(why.ends_with("snapshot saved"), "{why}"),
-            CacheOutcome::Loaded => panic!("legacy shard files must not load"),
+            CacheOutcome::Rebuilt(why) => {
+                assert!(why.contains("unsupported snapshot version 1"), "{why}");
+                assert!(why.ends_with("snapshot saved"), "{why}");
+            }
+            CacheOutcome::Loaded => panic!("legacy files must not load"),
         }
         let (direct, _) = Engine::build_gat(&dataset, 1, Partition::Hash, None).unwrap();
         let q = Query::new(vec![QueryPoint::new(
@@ -499,13 +517,20 @@ mod tests {
             "the saved snapshot must now load"
         );
 
-        let kinds: Vec<&str> = cache
+        let listing: Vec<String> = cache
             .entries()
             .unwrap()
             .iter()
-            .map(|path| snapshot::inspect(path).unwrap().kind)
+            .map(|path| match snapshot::inspect(path) {
+                Ok(info) => format!("{} v{}", info.kind, info.version),
+                Err(e) => e.to_string(),
+            })
             .collect();
-        assert_eq!(kinds, ["index", "unknown", "index", "index"]);
+        assert_eq!(listing[0], "index v2", "{listing:?}");
+        assert_eq!(listing.len(), 4, "{listing:?}");
+        for old in &listing[1..] {
+            assert!(old.contains("unsupported snapshot version 1"), "{old}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

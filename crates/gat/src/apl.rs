@@ -135,11 +135,6 @@ impl Apl {
         &self.per_trajectory[idx]
     }
 
-    /// Appends the posting lists of a newly added trajectory.
-    pub fn push(&mut self, tr: &Trajectory) {
-        self.per_trajectory.push(TrajectoryPostings::build(tr));
-    }
-
     /// Number of trajectories covered.
     pub fn len(&self) -> usize {
         self.per_trajectory.len()

@@ -72,18 +72,6 @@ impl GatConfig {
         }
         Ok(())
     }
-
-    /// The paper's estimate of the deepest level that fits a memory
-    /// budget of `budget_bytes` given vocabulary cardinality `c`:
-    /// `h = log4(3B / 4C + 1)` (§IV, HICL storage discussion).
-    pub fn memory_level_for_budget(budget_bytes: usize, c: usize) -> u8 {
-        if c == 0 {
-            return 1;
-        }
-        let b = budget_bytes as f64;
-        let h = ((3.0 * b) / (4.0 * c as f64) + 1.0).log(4.0).floor();
-        (h.max(1.0) as u8).min(16)
-    }
 }
 
 #[cfg(test)]
@@ -125,16 +113,5 @@ mod tests {
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should be invalid");
         }
-    }
-
-    #[test]
-    fn memory_level_formula() {
-        // h = log4(3B/(4C) + 1): with B = 4C, h = log4(4) = 1.
-        assert_eq!(GatConfig::memory_level_for_budget(4000, 1000), 1);
-        // Larger budgets unlock deeper levels monotonically.
-        let a = GatConfig::memory_level_for_budget(1 << 20, 1000);
-        let b = GatConfig::memory_level_for_budget(1 << 26, 1000);
-        assert!(b >= a);
-        assert_eq!(GatConfig::memory_level_for_budget(1000, 0), 1);
     }
 }

@@ -1,231 +1,153 @@
 //! HICL — the Hierarchical Inverted Cell List (§IV).
 //!
-//! For every activity `α`, the HICL stores, per grid level, the sorted
-//! set of cell codes whose cells contain `α`. The leaf level is built
-//! directly from the data; each coarser level is the set of parents of
-//! the level below, exactly the paper's bottom-up aggregation.
+//! Per grid level, the HICL records which activities each occupied
+//! cell contains: the paper's per-activity inverted cell lists, stored
+//! cell-major. Each level is one `Level` — the occupied cells' Morton
+//! codes in ascending order, with offsets into one activity column.
 //!
-//! The structure also supports the reverse question needed by the
-//! Algorithm-2 lower bound: *which activities does cell `c` contain?*
+//! Nothing about it is stored on its own. The leaf level `d` is exactly
+//! the (cell, activity) keys of the [`Itl`], and level `l − 1` merges
+//! the runs of each group of four siblings, which sit next to each
+//! other in Morton order — the paper's bottom-up aggregation.
+//! [`Hicl::derive`] does this once, at build and at snapshot load.
+//!
+//! Both questions the search asks are binary searches:
+//! [`Hicl::children_with_any`] (the descent step) finds the contiguous
+//! child range `4c..4c+3`, and [`Hicl::cell_activities`] (the
+//! Algorithm-2 "virtual points") finds one cell.
 
+use crate::itl::Itl;
 use atsq_grid::CellId;
 use atsq_types::{ActivityId, ActivitySet};
-use std::collections::HashMap;
+
+/// One grid level of inverted cell lists: the occupied cells' Morton
+/// codes, ascending, each with its sorted, non-empty activity run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Level {
+    pub(crate) cells: Vec<u64>,
+    /// `cells[i]` holds `acts[offsets[i]..offsets[i + 1]]`.
+    pub(crate) offsets: Vec<usize>,
+    pub(crate) acts: Vec<ActivityId>,
+}
+
+impl Level {
+    /// A level from distinct `(cell code, activity)` pairs in ascending
+    /// order.
+    pub(crate) fn from_pairs(pairs: &[(u64, ActivityId)]) -> Self {
+        let offsets = run_offsets(pairs.len(), |i| pairs[i - 1].0 == pairs[i].0);
+        Level {
+            cells: offsets[..offsets.len() - 1]
+                .iter()
+                .map(|&i| pairs[i].0)
+                .collect(),
+            offsets,
+            acts: pairs.iter().map(|&(_, a)| a).collect(),
+        }
+    }
+
+    /// The activities of the `i`-th occupied cell.
+    fn run(&self, i: usize) -> &[ActivityId] {
+        &self.acts[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The activities of the cell with Morton code `code`; `None` when
+    /// the cell is empty.
+    fn activities(&self, code: u64) -> Option<&[ActivityId]> {
+        self.cells.binary_search(&code).ok().map(|i| self.run(i))
+    }
+
+    /// The position of `(code, act)` in the activity column — the key
+    /// index the ITL's trajectory offsets are aligned to.
+    pub(crate) fn key_index(&self, code: u64, act: ActivityId) -> Option<usize> {
+        let i = self.cells.binary_search(&code).ok()?;
+        let j = self.run(i).binary_search(&act).ok()?;
+        Some(self.offsets[i] + j)
+    }
+
+    /// The level above: each group of four siblings (adjacent in Morton
+    /// order) merged into its parent.
+    fn parent(&self) -> Level {
+        let mut pairs: Vec<(u64, ActivityId)> = (0..self.cells.len())
+            .flat_map(|i| self.run(i).iter().map(move |&a| (self.cells[i] >> 2, a)))
+            .collect();
+        // Parents already ascend; only each sibling group's runs need
+        // merging.
+        pairs.sort_unstable();
+        pairs.dedup();
+        Level::from_pairs(&pairs)
+    }
+}
+
+/// The offsets of the runs of equal neighbours in `0..n`: `0`, every
+/// `i` where `same(i)` — "element `i` equals element `i - 1`" — fails,
+/// and `n`.
+pub(crate) fn run_offsets(n: usize, same: impl Fn(usize) -> bool) -> Vec<usize> {
+    (0..=n).filter(|&i| i == 0 || i == n || !same(i)).collect()
+}
 
 /// Hierarchical inverted cell lists for all activities.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hicl {
-    /// `lists[activity] = per-level sorted cell codes`; index 0 of the
-    /// inner vec is grid level 1, the last is the leaf level `d`.
-    lists: HashMap<ActivityId, Vec<Vec<u64>>>,
-    /// Reverse map: per level (same indexing), cell code → activity
-    /// set. Needed to materialise the "virtual points" of Algorithm 2.
-    by_cell: Vec<HashMap<u64, ActivitySet>>,
-    levels: u8,
+    /// Index 0 is grid level 1, the last is the leaf level `d`.
+    levels: Vec<Level>,
 }
 
 impl Hicl {
-    /// Builds the HICL from `(leaf cell, activity)` occurrence pairs.
-    ///
-    /// `leaf_cells` yields one entry per (activity, leaf cell) pair —
-    /// duplicates are tolerated. `levels` is the grid depth `d`.
-    pub fn build(levels: u8, occurrences: impl IntoIterator<Item = (ActivityId, CellId)>) -> Self {
-        assert!(levels >= 1, "HICL requires at least one level");
-        let mut lists: HashMap<ActivityId, Vec<Vec<u64>>> = HashMap::new();
-        let mut by_cell: Vec<HashMap<u64, ActivitySet>> =
-            (0..levels).map(|_| HashMap::new()).collect();
-
-        for (act, cell) in occurrences {
-            assert_eq!(cell.level, levels, "occurrence cell must be a leaf cell");
-            let per_level = lists
-                .entry(act)
-                .or_insert_with(|| vec![Vec::new(); levels as usize]);
-            // Walk the ancestor chain up to level 1, recording the cell
-            // at each level.
-            let mut c = cell;
-            loop {
-                per_level[(c.level - 1) as usize].push(c.code);
-                by_cell[(c.level - 1) as usize]
-                    .entry(c.code)
-                    .or_default()
-                    .insert(act);
-                match c.parent() {
-                    Some(p) if p.level >= 1 => c = p,
-                    _ => break,
-                }
-            }
-        }
-
-        for per_level in lists.values_mut() {
-            for level in per_level.iter_mut() {
-                level.sort_unstable();
-                level.dedup();
-            }
-        }
-
-        Hicl {
-            lists,
-            by_cell,
-            levels,
-        }
+    /// Derives every level from the ITL's (cell, activity) keys.
+    pub fn derive(itl: &Itl) -> Self {
+        let mut levels: Vec<Level> =
+            std::iter::successors(Some(itl.keys.clone()), |lv| Some(lv.parent()))
+                .take(usize::from(itl.leaf_level()))
+                .collect();
+        levels.reverse();
+        Hicl { levels }
     }
 
     /// Grid depth `d`.
     pub fn levels(&self) -> u8 {
-        self.levels
-    }
-
-    /// Dynamically records one `(activity, leaf cell)` occurrence,
-    /// propagating through every ancestor level. Idempotent.
-    pub fn insert(&mut self, act: ActivityId, cell: CellId) {
-        assert_eq!(cell.level, self.levels, "insert takes leaf cells");
-        let levels = self.levels as usize;
-        let per_level = self
-            .lists
-            .entry(act)
-            .or_insert_with(|| vec![Vec::new(); levels]);
-        let mut c = cell;
-        loop {
-            let list = &mut per_level[(c.level - 1) as usize];
-            if let Err(pos) = list.binary_search(&c.code) {
-                list.insert(pos, c.code);
-            }
-            self.by_cell[(c.level - 1) as usize]
-                .entry(c.code)
-                .or_default()
-                .insert(act);
-            match c.parent() {
-                Some(p) if p.level >= 1 => c = p,
-                _ => break,
-            }
-        }
-    }
-
-    /// Whether `cell` contains activity `act` (any level 1..=d).
-    pub fn cell_contains(&self, cell: CellId, act: ActivityId) -> bool {
-        assert!(cell.level >= 1 && cell.level <= self.levels);
-        self.lists.get(&act).is_some_and(|lv| {
-            lv[(cell.level - 1) as usize]
-                .binary_search(&cell.code)
-                .is_ok()
-        })
-    }
-
-    /// Cells at `level` containing `act` (sorted by code); empty slice
-    /// when the activity is absent.
-    pub fn cells_with_activity(&self, level: u8, act: ActivityId) -> &[u64] {
-        assert!(level >= 1 && level <= self.levels);
-        self.lists
-            .get(&act)
-            .map_or(&[][..], |lv| &lv[(level - 1) as usize])
+        self.levels.len() as u8
     }
 
     /// The children of `cell` that contain at least one activity of
-    /// `wanted` — the descent step of the §V-A best-first retrieval
-    /// ("take the union set of the cells in the inverted list").
-    pub fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Vec<CellId> {
-        assert!(cell.level < self.levels, "leaf cells have no children");
-        cell.children()
-            .into_iter()
-            .filter(|ch| wanted.iter().any(|a| self.cell_contains(*ch, a)))
-            .collect()
+    /// `wanted`, in ascending code order — the descent step of the
+    /// §V-A best-first retrieval ("take the union set of the cells in
+    /// the inverted list").
+    pub fn children_with_any<'a>(
+        &'a self,
+        cell: CellId,
+        wanted: &'a ActivitySet,
+    ) -> impl Iterator<Item = CellId> + 'a {
+        assert!(cell.level < self.levels(), "leaf cells have no children");
+        let level = cell.level + 1;
+        let lv = &self.levels[usize::from(cell.level)];
+        let first = cell.code << 2;
+        let start = lv.cells.partition_point(|&c| c < first);
+        (start..lv.cells.len())
+            .take_while(move |&i| lv.cells[i] <= first + 3)
+            .filter(move |&i| {
+                let acts = lv.run(i);
+                wanted.iter().any(|a| acts.binary_search(&a).is_ok())
+            })
+            .map(move |i| CellId {
+                level,
+                code: lv.cells[i],
+            })
     }
 
-    /// All activities present in `cell` — the `cj.Φ` of Algorithm 2's
-    /// virtual points. Returns `None` for cells with no activity.
-    pub fn cell_activities(&self, cell: CellId) -> Option<&ActivitySet> {
-        assert!(cell.level >= 1 && cell.level <= self.levels);
-        self.by_cell[(cell.level - 1) as usize].get(&cell.code)
+    /// All activities present in `cell`, sorted — the `cj.Φ` of
+    /// Algorithm 2's virtual points. Returns `None` for cells with no
+    /// activity.
+    pub fn cell_activities(&self, cell: CellId) -> Option<&[ActivityId]> {
+        assert!(cell.level >= 1 && cell.level <= self.levels());
+        self.levels[usize::from(cell.level - 1)].activities(cell.code)
     }
 
     /// Approximate heap footprint in bytes of the inverted lists at
-    /// levels `1..=upto` (8 bytes per posting), matching the paper's
-    /// memory accounting for Fig. 8.
+    /// levels `1..=upto` (8 bytes per (cell, activity) posting),
+    /// matching the paper's memory accounting for Fig. 8.
     pub fn memory_bytes(&self, upto: u8) -> usize {
-        let upto = upto.min(self.levels) as usize;
-        self.lists
-            .values()
-            .map(|lv| lv[..upto].iter().map(|l| l.len() * 8).sum::<usize>())
-            .sum()
-    }
-
-    /// Number of distinct activities indexed.
-    pub fn activity_count(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Serializes the full structure (every activity's per-level cell
-    /// lists), activities in ascending id order so the encoding is
-    /// deterministic. The reverse `by_cell` map is derived data and is
-    /// rebuilt on decode.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        use atsq_storage::codec::{put_ascending_u64, put_varint};
-        out.push(self.levels);
-        let mut acts: Vec<ActivityId> = self.lists.keys().copied().collect();
-        acts.sort_unstable();
-        put_varint(out, acts.len() as u32);
-        for a in acts {
-            put_varint(out, a.0);
-            for level in &self.lists[&a] {
-                put_ascending_u64(out, level);
-            }
-        }
-    }
-
-    /// Decodes [`Hicl::encode`] output from `buf[*pos..]`, advancing
-    /// `pos`. `None` on truncation or any violated invariant (zero
-    /// levels, duplicate activities, non-ascending cell lists) — a
-    /// corrupt snapshot must surface as an error, never as an index
-    /// that silently answers differently.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        use atsq_storage::codec::{get_ascending_u64, get_varint};
-        let levels = *buf.get(*pos)?;
-        *pos += 1;
-        if levels == 0 || levels > atsq_grid::Grid::MAX_SUPPORTED_LEVEL {
-            return None;
-        }
-        let n = get_varint(buf, pos)? as usize;
-        let mut lists: HashMap<ActivityId, Vec<Vec<u64>>> = HashMap::with_capacity(n.min(1 << 16));
-        let mut by_cell: Vec<HashMap<u64, ActivitySet>> =
-            (0..levels).map(|_| HashMap::new()).collect();
-        for _ in 0..n {
-            let act = ActivityId(get_varint(buf, pos)?);
-            let mut per_level = Vec::with_capacity(levels as usize);
-            for (l, cells) in by_cell.iter_mut().enumerate().take(levels as usize) {
-                let codes = get_ascending_u64(buf, pos)?;
-                // Lists are sorted + deduped, i.e. strictly ascending.
-                if codes.windows(2).any(|w| w[0] >= w[1]) {
-                    return None;
-                }
-                // Codes must be valid Morton codes for their level.
-                let max_code = 1u128 << (2 * (l as u32 + 1));
-                if codes.iter().any(|&c| u128::from(c) >= max_code) {
-                    return None;
-                }
-                for &c in &codes {
-                    cells.entry(c).or_default().insert(act);
-                }
-                per_level.push(codes);
-            }
-            if lists.insert(act, per_level).is_some() {
-                return None; // duplicate activity entry
-            }
-        }
-        Some(Hicl {
-            lists,
-            by_cell,
-            levels,
-        })
-    }
-
-    /// Iterates `(cell code, activity set)` over the occupied cells at
-    /// `level` (1-based), in unspecified order. Used to materialise
-    /// the cold levels onto pages.
-    pub fn level_entries(&self, level: u8) -> impl Iterator<Item = (u64, &ActivitySet)> {
-        assert!(level >= 1 && level <= self.levels);
-        self.by_cell[(level - 1) as usize]
-            .iter()
-            .map(|(&code, acts)| (code, acts))
+        let upto = usize::from(upto).min(self.levels.len());
+        self.levels[..upto].iter().map(|lv| lv.acts.len() * 8).sum()
     }
 }
 
@@ -233,7 +155,7 @@ impl Hicl {
 mod tests {
     use super::*;
     use atsq_grid::{morton_encode, Grid};
-    use atsq_types::{Point, Rect};
+    use atsq_types::{Point, Rect, TrajectoryId};
 
     fn leaf(level: u8, x: u32, y: u32) -> CellId {
         CellId {
@@ -242,36 +164,62 @@ mod tests {
         }
     }
 
+    /// The HICL over `(activity, leaf cell)` occurrences.
+    fn build(levels: u8, occurrences: Vec<(ActivityId, CellId)>) -> Hicl {
+        let itl = Itl::build(
+            levels,
+            occurrences
+                .into_iter()
+                .map(|(a, c)| (c, a, TrajectoryId(0))),
+        );
+        Hicl::derive(&itl)
+    }
+
+    fn contains(h: &Hicl, cell: CellId, act: ActivityId) -> bool {
+        h.cell_activities(cell)
+            .is_some_and(|acts| acts.contains(&act))
+    }
+
+    fn acts_of(h: &Hicl, cell: CellId) -> Option<Vec<u32>> {
+        h.cell_activities(cell)
+            .map(|acts| acts.iter().map(|a| a.0).collect())
+    }
+
     #[test]
     fn build_propagates_to_ancestors() {
         // Grid d=3 (8x8). Activity 1 occurs in leaf (5, 2).
-        let h = Hicl::build(3, vec![(ActivityId(1), leaf(3, 5, 2))]);
-        assert!(h.cell_contains(leaf(3, 5, 2), ActivityId(1)));
-        assert!(h.cell_contains(leaf(2, 2, 1), ActivityId(1))); // parent
-        assert!(h.cell_contains(leaf(1, 1, 0), ActivityId(1))); // grandparent
-        assert!(!h.cell_contains(leaf(3, 5, 3), ActivityId(1)));
-        assert!(!h.cell_contains(leaf(1, 0, 0), ActivityId(1)));
-        assert_eq!(h.activity_count(), 1);
+        let h = build(3, vec![(ActivityId(1), leaf(3, 5, 2))]);
+        assert_eq!(h.levels(), 3);
+        assert!(contains(&h, leaf(3, 5, 2), ActivityId(1)));
+        assert!(contains(&h, leaf(2, 2, 1), ActivityId(1))); // parent
+        assert!(contains(&h, leaf(1, 1, 0), ActivityId(1))); // grandparent
+        assert!(!contains(&h, leaf(3, 5, 3), ActivityId(1)));
+        assert!(!contains(&h, leaf(1, 0, 0), ActivityId(1)));
     }
 
     #[test]
     fn children_with_any_filters() {
-        let h = Hicl::build(
+        let h = build(
             2,
             vec![
                 (ActivityId(1), leaf(2, 0, 0)),
                 (ActivityId(2), leaf(2, 3, 3)),
             ],
         );
-        let root_children = h.children_with_any(leaf(1, 0, 0), &ActivitySet::from_raw([1]));
+        let wanted = ActivitySet::from_raw([1]);
+        let root_children: Vec<CellId> = h.children_with_any(leaf(1, 0, 0), &wanted).collect();
         assert_eq!(root_children, vec![leaf(2, 0, 0)]);
-        let none = h.children_with_any(leaf(1, 0, 0), &ActivitySet::from_raw([2]));
-        assert!(none.is_empty());
+        let wanted = ActivitySet::from_raw([2]);
+        assert_eq!(h.children_with_any(leaf(1, 0, 0), &wanted).count(), 0);
+        // From the root: both occupied level-1 cells, ascending.
+        let wanted = ActivitySet::from_raw([1, 2]);
+        let seeds: Vec<CellId> = h.children_with_any(CellId::ROOT, &wanted).collect();
+        assert_eq!(seeds, vec![leaf(1, 0, 0), leaf(1, 1, 1)]);
     }
 
     #[test]
     fn cell_activities_reverse_lookup() {
-        let h = Hicl::build(
+        let h = build(
             2,
             vec![
                 (ActivityId(1), leaf(2, 0, 0)),
@@ -279,20 +227,11 @@ mod tests {
                 (ActivityId(3), leaf(2, 3, 0)),
             ],
         );
-        assert_eq!(
-            h.cell_activities(leaf(2, 0, 0)),
-            Some(&ActivitySet::from_raw([1, 2]))
-        );
+        assert_eq!(acts_of(&h, leaf(2, 0, 0)), Some(vec![1, 2]));
         // Level-1 parent of both (0,0) and (3,0) quadrant cells.
-        assert_eq!(
-            h.cell_activities(leaf(1, 0, 0)),
-            Some(&ActivitySet::from_raw([1, 2]))
-        );
-        assert_eq!(
-            h.cell_activities(leaf(1, 1, 0)),
-            Some(&ActivitySet::from_raw([3]))
-        );
-        assert_eq!(h.cell_activities(leaf(2, 1, 1)), None);
+        assert_eq!(acts_of(&h, leaf(1, 0, 0)), Some(vec![1, 2]));
+        assert_eq!(acts_of(&h, leaf(1, 1, 0)), Some(vec![3]));
+        assert_eq!(acts_of(&h, leaf(2, 1, 1)), None);
     }
 
     #[test]
@@ -302,14 +241,15 @@ mod tests {
             (ActivityId(1), leaf(2, 1, 1)),
             (ActivityId(1), leaf(2, 1, 1)),
         ];
-        let h = Hicl::build(2, occ);
-        assert_eq!(h.cells_with_activity(2, ActivityId(1)).len(), 1);
-        assert_eq!(h.cells_with_activity(1, ActivityId(1)).len(), 1);
+        let h = build(2, occ);
+        assert_eq!(acts_of(&h, leaf(2, 1, 1)), Some(vec![1]));
+        assert_eq!(acts_of(&h, leaf(1, 0, 0)), Some(vec![1]));
+        assert_eq!(h.memory_bytes(2), 16);
     }
 
     #[test]
     fn memory_accounting_counts_postings() {
-        let h = Hicl::build(
+        let h = build(
             2,
             vec![
                 (ActivityId(1), leaf(2, 0, 0)),
@@ -323,62 +263,29 @@ mod tests {
         assert_eq!(h.memory_bytes(10), 32);
     }
 
+    /// The snapshot stores only the ITL: the HICL derived from a
+    /// decoded ITL is the HICL derived at build time.
     #[test]
     fn encode_decode_roundtrip() {
-        let h = Hicl::build(
+        let itl = Itl::build(
             3,
             vec![
-                (ActivityId(1), leaf(3, 5, 2)),
-                (ActivityId(1), leaf(3, 0, 0)),
-                (ActivityId(7), leaf(3, 7, 7)),
+                (leaf(3, 5, 2), ActivityId(1), TrajectoryId(0)),
+                (leaf(3, 0, 0), ActivityId(1), TrajectoryId(1)),
+                (leaf(3, 7, 7), ActivityId(7), TrajectoryId(1)),
+                (leaf(3, 1, 0), ActivityId(7), TrajectoryId(2)),
             ],
         );
         let mut buf = Vec::new();
-        h.encode(&mut buf);
-        let mut pos = 0;
-        let q = Hicl::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
+        itl.encode(&mut buf);
+        let decoded = Itl::decode(&buf, &mut 0).unwrap();
+        let (h, q) = (Hicl::derive(&itl), Hicl::derive(&decoded));
+        assert_eq!(h, q);
         assert_eq!(q.levels(), 3);
-        assert_eq!(q.activity_count(), 2);
-        for level in 1..=3u8 {
-            for act in [ActivityId(1), ActivityId(7), ActivityId(9)] {
-                assert_eq!(
-                    h.cells_with_activity(level, act),
-                    q.cells_with_activity(level, act)
-                );
-            }
-        }
-        // The rebuilt reverse map answers like the original.
-        assert_eq!(
-            h.cell_activities(leaf(3, 5, 2)),
-            q.cell_activities(leaf(3, 5, 2))
-        );
-        assert_eq!(
-            h.cell_activities(leaf(1, 0, 0)),
-            q.cell_activities(leaf(1, 0, 0))
-        );
-        // Deterministic bytes.
-        let mut again = Vec::new();
-        h.encode(&mut again);
-        assert_eq!(buf, again);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let h = Hicl::build(2, vec![(ActivityId(3), leaf(2, 1, 1))]);
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        // Truncation at every prefix fails rather than panics.
-        for cut in 0..buf.len() {
-            assert!(Hicl::decode(&buf[..cut], &mut 0).is_none(), "cut={cut}");
-        }
-        // Zero or absurd level counts are rejected.
-        let mut zero = buf.clone();
-        zero[0] = 0;
-        assert!(Hicl::decode(&zero, &mut 0).is_none());
-        let mut deep = buf.clone();
-        deep[0] = 200;
-        assert!(Hicl::decode(&deep, &mut 0).is_none());
+        // Siblings (0,0) and (1,0) merge into one level-2 cell.
+        assert_eq!(acts_of(&q, leaf(2, 0, 0)), Some(vec![1, 7]));
+        assert_eq!(acts_of(&q, leaf(1, 0, 0)), Some(vec![1, 7]));
+        assert_eq!(acts_of(&q, leaf(1, 1, 1)), Some(vec![7]));
     }
 
     #[test]
@@ -391,12 +298,21 @@ mod tests {
             (Point::new(15.0, 15.0), ActivityId(7)),
             (Point::new(8.0, 4.0), ActivityId(9)),
         ];
-        let h = Hicl::build(4, pts.iter().map(|(p, a)| (*a, grid.leaf_cell_of(p))));
+        let h = build(
+            4,
+            pts.iter()
+                .map(|(p, a)| (*a, grid.leaf_cell_of(p)))
+                .collect(),
+        );
         for (p, a) in &pts {
             for level in 1..=4u8 {
-                assert!(h.cell_contains(grid.cell_of(p, level), *a));
+                assert!(contains(&h, grid.cell_of(p, level), *a));
             }
         }
-        assert!(!h.cell_contains(grid.cell_of(&Point::new(1.0, 1.0), 4), ActivityId(9)));
+        assert!(!contains(
+            &h,
+            grid.cell_of(&Point::new(1.0, 1.0), 4),
+            ActivityId(9)
+        ));
     }
 }

@@ -1,4 +1,11 @@
 //! Assembling the four GAT components from a dataset.
+//!
+//! A [`GatIndex`] is immutable: it is built once from a dataset (or
+//! loaded from a snapshot) and only read afterwards. Building collects
+//! every `(leaf cell, activity, trajectory)` posting into the ITL's
+//! sorted columns, derives the HICL from the ITL's keys, and sketches
+//! and lists each trajectory for the TAS and APL. A changed dataset
+//! means a new index.
 
 use crate::apl::{Apl, TrajectoryPostings};
 use crate::config::GatConfig;
@@ -7,7 +14,7 @@ use crate::itl::Itl;
 use crate::stats::IoStats;
 use crate::tas::Tas;
 use atsq_grid::{CellId, Grid};
-use atsq_types::{ActivitySet, Dataset, Rect, Result};
+use atsq_types::{ActivityId, ActivitySet, Dataset, Rect, Result};
 
 /// The complete GAT index over one dataset.
 ///
@@ -31,22 +38,15 @@ impl GatIndex {
         Self::build_with(dataset, GatConfig::default())
     }
 
-    /// Reassembles an index from deserialized components (the snapshot
-    /// loader's constructor). The caller — [`crate::snapshot`] — has
-    /// already validated cross-component consistency; the result has
-    /// fresh I/O counters.
-    pub(crate) fn from_parts(
-        config: GatConfig,
-        grid: Grid,
-        hicl: Hicl,
-        itl: Itl,
-        tas: Tas,
-        apl: Apl,
-    ) -> Self {
+    /// Assembles an index from its stored components, deriving the HICL
+    /// from the ITL (the build's and the snapshot loader's constructor).
+    /// The snapshot loader has already validated cross-component
+    /// consistency; the result has fresh I/O counters.
+    pub(crate) fn from_parts(config: GatConfig, grid: Grid, itl: Itl, tas: Tas, apl: Apl) -> Self {
         GatIndex {
             config,
             grid,
-            hicl,
+            hicl: Hicl::derive(&itl),
             itl,
             tas,
             apl,
@@ -59,38 +59,25 @@ impl GatIndex {
         config.validate()?;
         let region = usable_region(dataset.bounds());
         let grid = Grid::new(region, config.grid_level);
-        let d = config.grid_level;
 
-        // One pass over all points collects HICL and ITL occurrences.
-        let mut hicl_occ = Vec::new();
-        let mut itl_occ = Vec::new();
-        for tr in dataset.trajectories() {
-            for p in &tr.points {
-                let cell = grid.leaf_cell_of(&p.loc);
-                for a in p.activities.iter() {
-                    hicl_occ.push((a, cell));
-                    itl_occ.push((cell, a, tr.id));
-                }
-            }
-        }
-
-        let hicl = Hicl::build(d, hicl_occ);
-        let itl = Itl::build(d, itl_occ);
+        // One pass over all points collects the ITL postings; the HICL
+        // is derived from their keys.
+        let grid_ref = &grid;
+        let itl = Itl::build(
+            config.grid_level,
+            dataset.trajectories().iter().flat_map(|tr| {
+                tr.points.iter().flat_map(move |p| {
+                    let cell = grid_ref.leaf_cell_of(&p.loc);
+                    p.activities.iter().map(move |a| (cell, a, tr.id))
+                })
+            }),
+        );
         let tas = Tas::build(
             dataset.trajectories().iter().map(|tr| tr.all_activities()),
             config.tas_intervals,
         );
         let apl = Apl::build(dataset.trajectories().iter());
-
-        Ok(GatIndex {
-            config,
-            grid,
-            hicl,
-            itl,
-            tas,
-            apl,
-            stats: IoStats::new(),
-        })
+        Ok(Self::from_parts(config, grid, itl, tas, apl))
     }
 
     /// The configuration the index was built with.
@@ -136,7 +123,7 @@ impl GatIndex {
 
     /// Activities present in a cell, charging a cold read when the
     /// cell lies below the memory-resident HICL levels.
-    pub fn cell_activities(&self, cell: CellId) -> Option<&ActivitySet> {
+    pub fn cell_activities(&self, cell: CellId) -> Option<&[ActivityId]> {
         if cell.level > self.config.memory_level {
             self.stats.record_hicl_cold_read();
         }
@@ -144,41 +131,17 @@ impl GatIndex {
     }
 
     /// Children of `cell` containing any wanted activity, with cold
-    /// accounting as in [`GatIndex::cell_activities`].
-    pub fn children_with_any(&self, cell: CellId, wanted: &ActivitySet) -> Vec<CellId> {
+    /// accounting as in [`GatIndex::cell_activities`]: one read per
+    /// call, however many children there are.
+    pub fn children_with_any<'a>(
+        &'a self,
+        cell: CellId,
+        wanted: &'a ActivitySet,
+    ) -> impl Iterator<Item = CellId> + 'a {
         if cell.level + 1 > self.config.memory_level {
             self.stats.record_hicl_cold_read();
         }
         self.hicl.children_with_any(cell, wanted)
-    }
-
-    /// Dynamically indexes one newly appended trajectory.
-    ///
-    /// Call after [`atsq_types::Dataset::append_trajectory`]; `tr` must
-    /// be the trajectory at index `self.tas().len()` (appends must be
-    /// indexed in order, exactly once). Points outside the original
-    /// grid region are clamped into the border cells, so the index
-    /// stays correct — though heavy out-of-region growth degrades
-    /// pruning and warrants a rebuild.
-    ///
-    /// # Panics
-    /// Panics when `tr` is not the next trajectory in append order.
-    pub fn insert_trajectory(&mut self, tr: &atsq_types::Trajectory) {
-        assert_eq!(
-            tr.id.index(),
-            self.tas.len(),
-            "trajectories must be indexed in append order"
-        );
-        self.apl.push(tr);
-        for p in &tr.points {
-            let cell = self.grid.leaf_cell_of(&p.loc);
-            for a in p.activities.iter() {
-                self.hicl.insert(a, cell);
-                self.itl.insert(cell, a, tr.id);
-            }
-        }
-        self.tas
-            .push(&tr.all_activities(), self.config.tas_intervals);
     }
 
     /// Memory accounting for the Fig. 8 experiment.
@@ -283,12 +246,18 @@ mod tests {
         .unwrap();
         assert_eq!(idx.tas().len(), 2);
         assert_eq!(idx.apl().len(), 2);
-        assert_eq!(idx.hicl().activity_count(), 3);
+        assert_eq!(idx.hicl().levels(), 4);
         assert!(idx.itl().cell_count() >= 2);
+        // The leaf cell of (9,9) holds "coffee" and "hike".
+        let cell = idx.grid().leaf_cell_of(&Point::new(9.0, 9.0));
+        assert_eq!(
+            idx.hicl().cell_activities(cell),
+            Some(&[ActivityId(0), ActivityId(2)][..])
+        );
         // The cell of (1,1) contains "coffee".
         let cell = idx.grid().leaf_cell_of(&Point::new(1.0, 1.0));
         assert_eq!(
-            idx.itl().trajectories(cell, atsq_types::ActivityId(0)),
+            idx.itl().trajectories(cell, ActivityId(0)),
             &[TrajectoryId(0)]
         );
     }
@@ -354,7 +323,7 @@ mod tests {
         let d = DatasetBuilder::new().finish().unwrap();
         let idx = GatIndex::build(&d).unwrap();
         assert_eq!(idx.tas().len(), 0);
-        assert_eq!(idx.hicl().activity_count(), 0);
+        assert_eq!(idx.itl().cell_count(), 0);
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl ScoreScratch {
             self.cp.clear();
             for &idx in &self.indexes {
                 let p = &points[idx as usize];
-                let mask = qmask.cover_mask(&p.activities);
+                let mask = qmask.cover_mask(p.activities.ids());
                 if mask != 0 {
                     self.cp.push(CandidatePoint {
                         dist: q_loc.dist(&p.loc),
@@ -105,7 +105,7 @@ impl ScoreScratch {
             self.masks.reserve(n);
             for &idx in &self.indexes {
                 let p = &points[idx as usize];
-                let mask = qmask.cover_mask(&p.activities);
+                let mask = qmask.cover_mask(p.activities.ids());
                 if mask != 0 {
                     self.xs.push(p.loc.x);
                     self.ys.push(p.loc.y);
@@ -163,7 +163,7 @@ fn score_scalar(
             let p = &points[idx as usize];
             CandidatePoint {
                 dist: q_loc.dist(&p.loc),
-                mask: qmask.cover_mask(&p.activities),
+                mask: qmask.cover_mask(p.activities.ids()),
             }
         })
         .collect();

@@ -3,11 +3,15 @@
 //!
 //! The index combines four components over a hierarchical grid:
 //!
-//! 1. **HICL** ([`hicl`]) — a hierarchical inverted cell list per
-//!    activity: which cells at each grid level contain the activity.
-//!    Drives the best-first descent of the candidate-retrieval loop.
+//! 1. **HICL** ([`hicl`]) — hierarchical inverted cell lists: per grid
+//!    level, which activities each occupied cell contains, as sorted
+//!    Morton codes with offsets into one activity column. Drives the
+//!    best-first descent of the candidate-retrieval loop. It is never
+//!    stored: its leaf level is the ITL's keys and each coarser level
+//!    merges the level below.
 //! 2. **ITL** ([`itl`]) — per leaf cell, an inverted list from activity
-//!    to the trajectories that perform it inside the cell.
+//!    to the trajectories that perform it inside the cell, built once
+//!    as sorted flat columns (cells, activities, trajectory ids).
 //! 3. **TAS** ([`tas`]) — a compact interval sketch of each
 //!    trajectory's activity ids, used to discard candidates that cannot
 //!    cover the query activities without touching the full data.
@@ -23,10 +27,11 @@
 //! runs the same loop with candidate verification split over `S`
 //! lanes of one index.
 //!
-//! [`snapshot`] persists a built index as a versioned, checksummed
-//! binary snapshot keyed by the dataset's content hash, so a server
-//! restart loads in milliseconds instead of rebuilding every layer;
-//! see [`snapshot::IndexCache`].
+//! The index is immutable once built. [`snapshot`] persists it as a
+//! versioned, checksummed binary snapshot (the ITL columns, TAS and
+//! APL; the HICL is derived again on load) keyed by the dataset's
+//! content hash, so a server restart loads in milliseconds instead of
+//! rebuilding every layer; see [`snapshot::IndexCache`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

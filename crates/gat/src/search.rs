@@ -88,10 +88,7 @@ impl<'a> Retrieval<'a> {
 
         // Seed: all level-1 cells containing any activity of qi.Φ.
         for (q_idx, q) in query.points.iter().enumerate() {
-            let root = CellId::ROOT;
-            let mut seeds = index.children_with_any(root, &q.activities);
-            seeds.sort_unstable();
-            for cell in seeds {
+            for cell in index.children_with_any(CellId::ROOT, &q.activities) {
                 let mdist = index.grid().min_dist(cell, &q.loc);
                 pq.push(PqEntry {
                     mdist: OrdF64(mdist),

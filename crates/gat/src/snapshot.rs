@@ -2,7 +2,7 @@
 //!
 //! Building a [`GatIndex`] is expensive relative to querying it, yet
 //! every process start used to rebuild all layers. This module
-//! serializes a built index (grid + HICL + ITL + TAS + APL) into a
+//! serializes a built index (grid + ITL + TAS + APL) into a
 //! versioned, checksummed binary snapshot keyed by
 //! [`Dataset::content_hash`], so a restart *loads* instead of
 //! *builds*. A sharded engine persists nothing of its own: it shards
@@ -21,7 +21,7 @@
 //!
 //! ```text
 //! offset 0   [u8; 8]  magic b"ATSQSNAP"
-//! offset 8   u16 LE   format version (currently 1)
+//! offset 8   u16 LE   format version (currently 2)
 //! offset 10  u8       kind (1 = index)
 //! offset 11  u8       reserved (written as 0)
 //! offset 12  u64 LE   content hash of the dataset the payload serves
@@ -30,12 +30,19 @@
 //! offset 32  ...      payload
 //! ```
 //!
-//! The payload is the [`GatConfig`], the grid geometry and the four
-//! components, each through its own strict `encode`/`decode` pair.
-//! Earlier builds also wrote kind-2 *shard manifests* (`*.manifest`,
-//! next to per-shard `*.shardNNN.idx` files); nothing reads them any
-//! more — [`inspect`] reports them as `unknown` and a sharded start
-//! simply misses the cache once and saves the single snapshot.
+//! The payload is the [`GatConfig`], the grid geometry and three
+//! components — ITL, TAS, APL — each through its own strict
+//! `encode`/`decode` pair. The ITL section is its sorted columns; the
+//! HICL is not stored at all: loading validates the ITL columns and
+//! derives the HICL from their keys ([`crate::hicl::Hicl::derive`]),
+//! exactly as a build does.
+//!
+//! Version 1 files also carried a HICL section, and earlier builds
+//! wrote kind-2 *shard manifests* (`*.manifest`, next to per-shard
+//! `*.shardNNN.idx` files). This build reads neither: a version-1
+//! snapshot fails its header check, so the cache rebuilds and
+//! overwrites it on the next start, and [`inspect`] reports such files
+//! as `unsupported snapshot version 1`.
 //!
 //! [`IndexCache`] wraps the format in a directory-level API
 //! (`load_or_build`, `save`, `inspect`) used by `atsq index build`,
@@ -43,7 +50,6 @@
 
 use crate::apl::Apl;
 use crate::config::GatConfig;
-use crate::hicl::Hicl;
 use crate::index::GatIndex;
 use crate::itl::Itl;
 use crate::tas::Tas;
@@ -58,7 +64,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ATSQSNAP";
 
 /// Format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Header length in bytes (see the module docs for the layout).
 pub const SNAPSHOT_HEADER_LEN: usize = 32;
@@ -95,6 +101,7 @@ fn frame(kind: u8, dataset_hash: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Parsed and checksum-verified snapshot framing.
 struct Framed<'a> {
+    version: u16,
     kind: u8,
     dataset_hash: u64,
     payload: &'a [u8],
@@ -145,6 +152,7 @@ fn parse_frame(bytes: &[u8]) -> Result<Framed<'_>> {
         )));
     }
     Ok(Framed {
+        version,
         kind,
         dataset_hash,
         payload,
@@ -259,7 +267,6 @@ fn write_index_with_hash(index: &GatIndex, dataset_hash: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_config(index.config(), &mut payload);
     encode_grid(index.grid(), &mut payload);
-    index.hicl().encode(&mut payload);
     index.itl().encode(&mut payload);
     index.tas().encode(&mut payload);
     index.apl().encode(&mut payload);
@@ -286,7 +293,6 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
     let config = decode_config(buf, &mut pos).ok_or_else(|| component("GAT configuration"))?;
     config.validate()?;
     let grid = decode_grid(buf, &mut pos).ok_or_else(|| component("grid geometry"))?;
-    let hicl = Hicl::decode(buf, &mut pos).ok_or_else(|| component("HICL"))?;
     let itl = Itl::decode(buf, &mut pos).ok_or_else(|| component("ITL"))?;
     let tas = Tas::decode(buf, &mut pos).ok_or_else(|| component("TAS"))?;
     let apl = Apl::decode(buf, &mut pos).ok_or_else(|| component("APL"))?;
@@ -303,13 +309,6 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
         return Err(inconsistent(format!(
             "grid depth {} vs configured grid_level {}",
             grid.max_level(),
-            config.grid_level
-        )));
-    }
-    if hicl.levels() != config.grid_level {
-        return Err(inconsistent(format!(
-            "HICL depth {} vs configured grid_level {}",
-            hicl.levels(),
             config.grid_level
         )));
     }
@@ -351,7 +350,7 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
             }
         }
     }
-    Ok(GatIndex::from_parts(config, grid, hicl, itl, tas, apl))
+    Ok(GatIndex::from_parts(config, grid, itl, tas, apl))
 }
 
 // ---------------------------------------------------------------------
@@ -380,7 +379,7 @@ pub fn inspect(path: &Path) -> Result<SnapshotInfo> {
     let framed = parse_frame(&bytes)?;
     Ok(SnapshotInfo {
         kind: kind_name(framed.kind),
-        version: SNAPSHOT_VERSION,
+        version: framed.version,
         dataset_hash: framed.dataset_hash,
         payload_bytes: framed.payload.len(),
     })
@@ -735,7 +734,7 @@ mod tests {
         bytes[8..10].copy_from_slice(&99u16.to_le_bytes());
         let err = read_index(&bytes, &d).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 1"),
+            err.contains("version 99") && err.contains("reads version 2"),
             "{err}"
         );
     }
@@ -787,7 +786,6 @@ mod tests {
         let index = GatIndex::from_parts(
             small_config(),
             grid.clone(),
-            Hicl::build(leaf_level, vec![]),
             evil_itl,
             tas.clone(),
             Apl::build(d.trajectories()),
@@ -807,7 +805,6 @@ mod tests {
         let index = GatIndex::from_parts(
             small_config(),
             grid,
-            Hicl::build(leaf_level, vec![]),
             Itl::build(leaf_level, vec![]),
             tas,
             Apl::build(&long),

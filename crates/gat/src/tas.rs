@@ -125,11 +125,6 @@ impl Tas {
         &self.sketches[idx]
     }
 
-    /// Appends the sketch of a newly added trajectory.
-    pub fn push(&mut self, activities: &ActivitySet, m: usize) {
-        self.sketches.push(Sketch::build(activities, m));
-    }
-
     /// Number of sketches.
     pub fn len(&self) -> usize {
         self.sketches.len()

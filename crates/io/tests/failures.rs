@@ -6,7 +6,7 @@
 use atsq_datagen::{generate, CityConfig};
 use atsq_io::{import_checkin_tips, import_checkins, read_dataset, write_dataset};
 use atsq_text::ExtractorConfig;
-use atsq_types::Error;
+use atsq_types::{ActivityId, DatasetBuilder, Error};
 use std::io::{BufRead, BufReader, Read};
 
 /// A reader that yields `n` bytes of the inner data and then errors —
@@ -145,13 +145,23 @@ fn checkin_import_rejects_bad_rows_with_line_numbers() {
     assert!(err.to_string().contains("line 2"), "{err}");
 }
 
-/// Restoring a snapshot written by us always succeeds, even after the
-/// dataset went through append + requery cycles (no hidden state).
+/// Restoring a snapshot written by us always succeeds, also for a
+/// dataset assembled by hand from a generated one plus a repeated
+/// trajectory (no hidden state).
 #[test]
 fn roundtrip_after_appends() {
-    let mut dataset = generate(&CityConfig::tiny(5)).unwrap();
-    let extra = dataset.trajectories()[0].points.clone();
-    dataset.append_trajectory(extra).unwrap();
+    let city = generate(&CityConfig::tiny(5)).unwrap();
+    let mut b = DatasetBuilder::new().without_frequency_ranking();
+    for i in 0..city.vocabulary().len() as u32 {
+        let name = city.vocabulary().name(ActivityId(i)).unwrap();
+        assert_eq!(b.observe_activity(name), ActivityId(i));
+    }
+    for tr in city.trajectories() {
+        b.push_trajectory(tr.points.clone());
+    }
+    b.push_trajectory(city.trajectories()[0].points.clone());
+    let dataset = b.finish().unwrap();
+    assert_eq!(dataset.len(), city.len() + 1);
     let mut out = Vec::new();
     write_dataset(&dataset, &mut out).unwrap();
     let back = read_dataset(BufReader::new(&out[..])).unwrap();

@@ -20,7 +20,8 @@
 //!    in the allowlist, so each one is a recorded decision.
 //! 3. **`panic-hot-path`** — `unwrap()` / `expect(…)` / `panic!` are
 //!    denied in the request hot path (server, service, wire, queue,
-//!    sharded engine). An `.expect(…)` whose message contains
+//!    sharded engine) and in the HICL and ITL, which decode untrusted
+//!    snapshot bytes and run on every query. An `.expect(…)` whose message contains
 //!    `invariant` is allowed — it documents a structurally impossible
 //!    failure rather than an error path. A hot-path entry that matches
 //!    no scanned file is **stale** and fails the run, so deleting or
@@ -162,6 +163,8 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/service/src/wire.rs",
     "crates/service/src/queue.rs",
     "crates/gat/src/sharded.rs",
+    "crates/gat/src/hicl.rs",
+    "crates/gat/src/itl.rs",
 ];
 
 fn is_hot(rel: &str, hot_paths: &[&str]) -> bool {

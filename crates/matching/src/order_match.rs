@@ -97,7 +97,7 @@ pub fn min_order_match_distance(
         // Pre-compute the per-point coverage for qi once.
         let masks: Vec<u32> = points
             .iter()
-            .map(|p| qmask.cover_mask(&p.activities))
+            .map(|p| qmask.cover_mask(p.activities.ids()))
             .collect();
         let dists: Vec<f64> = points.iter().map(|p| q.loc.dist(&p.loc)).collect();
 

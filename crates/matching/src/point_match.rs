@@ -16,7 +16,7 @@
 //! [`QueryPoint::MAX_ACTIVITIES`], which [`atsq_types::Query::new`]
 //! enforces.
 
-use atsq_types::{ActivitySet, Point, QueryPoint, TrajectoryPoint};
+use atsq_types::{ActivityId, ActivitySet, Point, QueryPoint, TrajectoryPoint};
 
 /// Maps the activities of one query point to bit positions, so that
 /// subsets of `q.Φ` become machine-word bitmasks.
@@ -64,13 +64,14 @@ impl QueryMask {
         ((1u64 << self.activities.len()) - 1) as u32
     }
 
-    /// The coverage mask of a trajectory point's activity set: bit `i`
-    /// is set iff the point carries the `i`-th activity of `q.Φ`
+    /// The coverage mask of a sorted activity slice — a trajectory
+    /// point's [`ActivitySet::ids`], or a grid cell's activities: bit
+    /// `i` is set iff the slice holds the `i`-th activity of `q.Φ`
     /// (the paper's `p.Φ′ = p.Φ ∩ q.Φ`).
-    pub fn cover_mask(&self, point_activities: &ActivitySet) -> u32 {
+    pub fn cover_mask(&self, point_activities: &[ActivityId]) -> u32 {
         let mut mask = 0u32;
         for (i, a) in self.activities.iter().enumerate() {
-            if point_activities.contains(a) {
+            if point_activities.binary_search(&a).is_ok() {
                 mask |= 1 << i;
             }
         }
@@ -100,7 +101,7 @@ pub fn candidate_points(
     let mut cp: Vec<CandidatePoint> = points
         .iter()
         .filter_map(|p| {
-            let mask = qmask.cover_mask(&p.activities);
+            let mask = qmask.cover_mask(p.activities.ids());
             (mask != 0).then(|| CandidatePoint {
                 dist: q_loc.dist(&p.loc),
                 mask,
@@ -318,9 +319,9 @@ mod tests {
     fn cover_mask_maps_positions() {
         let acts = ActivitySet::from_raw([10, 20, 30]);
         let qm = QueryMask::new(&acts);
-        assert_eq!(qm.cover_mask(&ActivitySet::from_raw([20])), 0b010);
-        assert_eq!(qm.cover_mask(&ActivitySet::from_raw([10, 30])), 0b101);
-        assert_eq!(qm.cover_mask(&ActivitySet::from_raw([99])), 0);
+        assert_eq!(qm.cover_mask(ActivitySet::from_raw([20]).ids()), 0b010);
+        assert_eq!(qm.cover_mask(ActivitySet::from_raw([10, 30]).ids()), 0b101);
+        assert_eq!(qm.cover_mask(ActivitySet::from_raw([99]).ids()), 0);
         assert_eq!(qm.full_mask(), 0b111);
         assert_eq!(qm.len(), 3);
     }

@@ -108,7 +108,7 @@ pub fn min_point_match_witness(
         .iter()
         .enumerate()
         .filter_map(|(i, p)| {
-            let mask = qmask.cover_mask(&p.activities);
+            let mask = qmask.cover_mask(p.activities.ids());
             (mask != 0).then(|| (i as u32, q_loc.dist(&p.loc), mask))
         })
         .collect();
@@ -156,7 +156,7 @@ pub fn min_order_match_witness(
             let qm = QueryMask::new(&q.activities);
             let masks = points
                 .iter()
-                .map(|p| qm.cover_mask(&p.activities))
+                .map(|p| qm.cover_mask(p.activities.ids()))
                 .collect();
             let dists = points.iter().map(|p| q.loc.dist(&p.loc)).collect();
             (qm, masks, dists)

@@ -74,39 +74,6 @@ impl Dataset {
         }
     }
 
-    /// Appends one trajectory to an existing dataset, returning its id.
-    ///
-    /// All activity ids must already exist in the vocabulary (intern
-    /// new names through [`Dataset::vocabulary_mut`] first). Activity
-    /// ids are *not* re-ranked by frequency — the ranking reflects the
-    /// corpus at build time, which keeps existing TAS sketches valid;
-    /// rebuild periodically if the activity distribution drifts.
-    pub fn append_trajectory(
-        &mut self,
-        points: Vec<crate::trajectory::TrajectoryPoint>,
-    ) -> Result<TrajectoryId> {
-        for p in &points {
-            for a in p.activities.iter() {
-                if a.index() >= self.vocabulary.len() {
-                    return Err(Error::InvalidDataset(format!(
-                        "appended trajectory references unknown activity {a}"
-                    )));
-                }
-                self.vocabulary.add_count(a, 1);
-            }
-            self.bounds.extend_point(&p.loc);
-        }
-        let id = TrajectoryId(self.trajectories.len() as u32);
-        self.trajectories.push(Trajectory::new(id, points));
-        Ok(id)
-    }
-
-    /// Mutable vocabulary access, for interning new activity names
-    /// before [`Dataset::append_trajectory`].
-    pub fn vocabulary_mut(&mut self) -> &mut Vocabulary {
-        &mut self.vocabulary
-    }
-
     /// Restricts the dataset to its first `n` trajectories — the
     /// sampling protocol behind the paper's Fig. 7 scalability sweep.
     /// Vocabulary and bounds are retained; counts are not re-derived
@@ -453,24 +420,36 @@ mod tests {
 
     #[test]
     fn content_hash_is_stable_and_content_sensitive() {
-        let build = |names: &[&str], x0: f64| {
+        let build = |names: &[&str], x0: f64, extra: bool| {
             let mut b = DatasetBuilder::new().without_frequency_ranking();
             let ids: Vec<ActivityId> = names.iter().map(|n| b.observe_activity(n)).collect();
             b.push_trajectory(vec![tp(x0, 0.0, &ids), tp(1.0, 2.0, &ids[..1])]);
             b.push_trajectory(vec![tp(5.0, 5.0, &ids[1..])]);
+            if extra {
+                b.push_trajectory(vec![tp(9.0, 9.0, &ids[..1])]);
+            }
             b.finish().unwrap()
         };
-        let d = build(&["a", "b"], 0.0);
+        let d = build(&["a", "b"], 0.0, false);
         // Identical construction hashes identically.
-        assert_eq!(d.content_hash(), build(&["a", "b"], 0.0).content_hash());
+        assert_eq!(
+            d.content_hash(),
+            build(&["a", "b"], 0.0, false).content_hash()
+        );
         // Any content change — a coordinate, an activity name — changes it.
-        assert_ne!(d.content_hash(), build(&["a", "b"], 0.25).content_hash());
-        assert_ne!(d.content_hash(), build(&["a", "c"], 0.0).content_hash());
-        // Appending a trajectory changes it.
-        let mut grown = d.clone();
-        let a = grown.vocabulary().get("a").unwrap();
-        grown.append_trajectory(vec![tp(9.0, 9.0, &[a])]).unwrap();
-        assert_ne!(d.content_hash(), grown.content_hash());
+        assert_ne!(
+            d.content_hash(),
+            build(&["a", "b"], 0.25, false).content_hash()
+        );
+        assert_ne!(
+            d.content_hash(),
+            build(&["a", "c"], 0.0, false).content_hash()
+        );
+        // One more trajectory changes it.
+        assert_ne!(
+            d.content_hash(),
+            build(&["a", "b"], 0.0, true).content_hash()
+        );
         // The hash survives a clone (pure function of content).
         assert_eq!(d.content_hash(), d.clone().content_hash());
         // Empty dataset has a well-defined hash distinct from non-empty.

@@ -1,7 +1,7 @@
 //! Structural invariants of every index on generated data:
-//! HICL ancestor closure, ITL completeness, TAS no-false-dismissal,
-//! APL exactness, R-tree shape invariants, and the Algorithm-2 lower
-//! bound actually lower-bounding real distances.
+//! HICL ancestor closure and its converse, ITL completeness, TAS
+//! no-false-dismissal, APL exactness, R-tree shape invariants, and the
+//! Algorithm-2 lower bound actually lower-bounding real distances.
 
 use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
 use atsq_gat::{GatConfig, GatIndex};
@@ -37,13 +37,49 @@ fn hicl_contains_every_point_activity_at_every_level() {
                 for level in 1..=idx.grid().max_level() {
                     let cell = leaf.ancestor_at(level);
                     assert!(
-                        idx.hicl().cell_contains(cell, a),
+                        idx.hicl()
+                            .cell_activities(cell)
+                            .is_some_and(|acts| acts.contains(&a)),
                         "HICL misses activity {a} at level {level}"
                     );
                 }
             }
         }
     }
+}
+
+/// The converse of the closure above: the HICL lists nothing the data
+/// does not hold. Every (cell, activity) at every level has a leaf
+/// descendant whose ITL lists a trajectory under that activity.
+#[test]
+fn every_hicl_entry_has_an_itl_list_below_it() {
+    let d = dataset();
+    let idx = index(&d);
+    let depth = idx.grid().max_level();
+    let root = idx.grid().leaf_cell_of(&d.bounds().min).ancestor_at(0);
+    let cell_at = |level: u8, code: u64| {
+        let mut cell = root;
+        (cell.level, cell.code) = (level, code);
+        cell
+    };
+    let mut entries = 0usize;
+    for level in 1..=depth {
+        for code in 0..1u64 << (2 * level) {
+            let Some(acts) = idx.hicl().cell_activities(cell_at(level, code)) else {
+                continue;
+            };
+            let shift = 2 * (depth - level);
+            for &a in acts {
+                entries += 1;
+                assert!(
+                    (code << shift..(code + 1) << shift)
+                        .any(|leaf| !idx.itl().trajectories(cell_at(depth, leaf), a).is_empty()),
+                    "HICL lists {a} at level {level} cell {code}, no ITL list below it"
+                );
+            }
+        }
+    }
+    assert!(entries > 0);
 }
 
 #[test]
@@ -166,6 +202,26 @@ fn memory_report_scales_with_grid_depth() {
         );
         last = mem;
     }
+}
+
+/// The tenancy layer's memory budget is built on `memory_report()`, so
+/// its formulas must not drift with the layout: these five byte counts
+/// were recorded for this city and configuration from the earlier
+/// hash-map HICL and ITL.
+#[test]
+fn memory_report_is_pinned() {
+    let d = dataset();
+    let r = index(&d).memory_report();
+    assert_eq!(
+        (
+            r.hicl_hot_bytes,
+            r.hicl_cold_bytes,
+            r.itl_bytes,
+            r.tas_bytes,
+            r.apl_disk_bytes
+        ),
+        (5000, 4936, 6784, 1184, 6368)
+    );
 }
 
 #[test]

@@ -66,7 +66,7 @@ fn dmpm_row(q_acts: &ActivitySet, row: &[f64; 5], points: &[ActivitySet; 5]) -> 
         .iter()
         .zip(points.iter())
         .filter_map(|(&dist, p)| {
-            let mask = qm.cover_mask(p);
+            let mask = qm.cover_mask(p.ids());
             (mask != 0).then_some(CandidatePoint { dist, mask })
         })
         .collect();
@@ -143,7 +143,7 @@ fn dmom_matrix(
     let mut table = Vec::new();
     for (i, q) in queries.iter().enumerate() {
         let qm = QueryMask::new(q);
-        let masks: Vec<u32> = points.iter().map(|p| qm.cover_mask(p)).collect();
+        let masks: Vec<u32> = points.iter().map(|p| qm.cover_mask(p.ids())).collect();
         let mut g_curr = vec![f64::INFINITY; n + 1];
         for j in 1..=n {
             let mut cover = IncrementalCover::new(&qm);
