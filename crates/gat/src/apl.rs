@@ -40,16 +40,10 @@ impl TrajectoryPostings {
     }
 
     /// Deduplicated union of the postings of all activities in
-    /// `wanted` — the candidate point set `CP` of Algorithm 3, line 1.
-    pub fn candidate_indexes(&self, wanted: &ActivitySet) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.candidate_indexes_into(wanted, &mut out);
-        out
-    }
-
-    /// [`TrajectoryPostings::candidate_indexes`] into a caller-owned
-    /// buffer — the hot search loop reuses one buffer per query
-    /// instead of allocating per candidate evaluation.
+    /// `wanted` — the candidate point set `CP` of Algorithm 3, line 1 —
+    /// written into a caller-owned buffer: the hot search loop reuses
+    /// one buffer per query instead of allocating per candidate
+    /// evaluation.
     pub fn candidate_indexes_into(&self, wanted: &ActivitySet, out: &mut Vec<u32>) {
         out.clear();
         for a in wanted.iter() {
@@ -232,15 +226,13 @@ mod tests {
     fn candidate_indexes_union_dedup() {
         let t = tr(vec![(0.0, &[1, 2]), (1.0, &[2]), (2.0, &[3])]);
         let p = TrajectoryPostings::build(&t);
-        assert_eq!(
-            p.candidate_indexes(&ActivitySet::from_raw([1, 2])),
-            vec![0, 1]
-        );
-        assert_eq!(
-            p.candidate_indexes(&ActivitySet::from_raw([1, 2, 3])),
-            vec![0, 1, 2]
-        );
-        assert!(p.candidate_indexes(&ActivitySet::from_raw([9])).is_empty());
+        let mut out = vec![7];
+        p.candidate_indexes_into(&ActivitySet::from_raw([1, 2]), &mut out);
+        assert_eq!(out, vec![0, 1]);
+        p.candidate_indexes_into(&ActivitySet::from_raw([1, 2, 3]), &mut out);
+        assert_eq!(out, vec![0, 1, 2]);
+        p.candidate_indexes_into(&ActivitySet::from_raw([9]), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

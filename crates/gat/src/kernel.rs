@@ -11,7 +11,7 @@
 //! at the gather so they cost no arithmetic — then computes all
 //! distances in one tight dependency-free loop over those arrays
 //! (which the compiler can unroll and vectorize), and sorts. Batches
-//! under [`SOA_MIN_BATCH`] take a one-pass scalar fill instead, where
+//! under `SOA_MIN_BATCH` take a one-pass scalar fill instead, where
 //! the column passes cost more than they save. All buffers live in a
 //! reusable [`ScoreScratch`], so steady-state scoring performs no
 //! allocation on either path.

@@ -3,11 +3,15 @@
 //! Algorithm-2 lower bound for unseen trajectories, and the ATSQ /
 //! OATSQ entry points.
 //!
-//! There is exactly one loop — [`search`] — for top-k and range
+//! There is exactly one loop — `search` — for top-k and range
 //! queries, ATSQ and OATSQ, one index or a sharded engine: the
-//! variants differ only in the [`Goal`] that decides what is kept,
-//! the [`Verify`] pipeline run per candidate, and whether a
+//! variants differ only in the `Goal` that decides what is kept,
+//! the `Verify` pipeline run per candidate, and whether a
 //! [`ShardedEngine`] fans verification out over its lanes.
+//!
+//! The unvisited grid cells are kept once, as one ordered set per
+//! query point: retrieval pops the least head across the sets, and
+//! Algorithm 2 reads the nearest `lb_cells` entries of each set.
 
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
@@ -20,7 +24,7 @@ use atsq_types::{
     rank_top_k, ActivitySet, Dataset, Error, Query, QueryResult, Result, TrajectoryId,
 };
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::time::Instant;
 
 /// Total-ordering wrapper for f64 priorities (never NaN here).
@@ -39,106 +43,84 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Priority-queue entry of the §V-A retrieval: `(mdist, cell, qi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PqEntry {
-    mdist: OrdF64,
-    cell: CellId,
-    q_idx: usize,
-}
-
-impl PartialOrd for PqEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PqEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for a min-heap on mdist.
-        other
-            .mdist
-            .cmp(&self.mdist)
-            .then_with(|| other.cell.cmp(&self.cell))
-            .then_with(|| other.q_idx.cmp(&self.q_idx))
-    }
-}
-
 /// Best-first candidate retrieval over the index's grid, HICL and ITL,
 /// with the Algorithm-2 lower bound.
 struct Retrieval<'a> {
     index: &'a GatIndex,
     query: &'a Query,
-    pq: BinaryHeap<PqEntry>,
-    /// Per query point: ALL unvisited frontier cells (pushed but not
-    /// yet popped), sorted ascending by mdist. The paper's `cellsn(qi)`
-    /// is the `lb_cells`-prefix of this list; keeping the full list is
-    /// what makes the Theorem-1 argument sound — truncating at insert
-    /// time can leave the kept prefix *smaller* than cells discarded
-    /// earlier once pops shrink it, silently inflating the bound.
-    frontier: Vec<Vec<(f64, CellId)>>,
+    /// Per query point qi: every unvisited cell (pushed but not yet
+    /// popped), ordered by `(mdist, cell)`. This one structure is both
+    /// the §V-A priority queue — the next cell is the least
+    /// `(mdist, cell, qi)` over the set heads — and the paper's
+    /// `cellsn(qi)`, the `lb_cells` nearest entries of qi's set.
+    /// Keeping every unvisited cell is what makes the Theorem-1
+    /// argument sound — truncating at insert time can leave the kept
+    /// prefix *smaller* than cells discarded earlier once pops shrink
+    /// it, silently inflating the bound.
+    frontier: Vec<BTreeSet<(OrdF64, CellId)>>,
     seen: Vec<bool>,
 }
 
 impl<'a> Retrieval<'a> {
-    /// Seeds the traversal.
+    /// Seeds the traversal: all level-1 cells containing any activity
+    /// of qi.Φ, per query point.
     fn new(index: &'a GatIndex, query: &'a Query) -> Self {
-        let m = query.points.len();
-        let mut pq = BinaryHeap::new();
-        let mut frontier = vec![Vec::new(); m];
-
-        // Seed: all level-1 cells containing any activity of qi.Φ.
-        for (q_idx, q) in query.points.iter().enumerate() {
-            for cell in index.children_with_any(CellId::ROOT, &q.activities) {
-                let mdist = index.grid().min_dist(cell, &q.loc);
-                pq.push(PqEntry {
-                    mdist: OrdF64(mdist),
-                    cell,
-                    q_idx,
-                });
-                insert_frontier(&mut frontier[q_idx], mdist, cell);
-            }
-        }
-
-        Retrieval {
+        let mut retrieval = Retrieval {
             index,
             query,
-            pq,
-            frontier,
+            frontier: vec![BTreeSet::new(); query.points.len()],
             // The id space the index's ITL draws from.
             seen: vec![false; index.tas().len()],
+        };
+        for q_idx in 0..query.points.len() {
+            retrieval.expand(q_idx, CellId::ROOT);
+        }
+        retrieval
+    }
+
+    /// Pushes the children of `cell` that contain any activity of qi.Φ
+    /// onto qi's frontier.
+    fn expand(&mut self, q_idx: usize, cell: CellId) {
+        let q = &self.query.points[q_idx];
+        for child in self.index.children_with_any(cell, &q.activities) {
+            let mdist = self.index.grid().min_dist(child, &q.loc);
+            self.frontier[q_idx].insert((OrdF64(mdist), child));
         }
     }
 
+    /// Removes the least `(mdist, cell, qi)` over all query points.
+    fn pop(&mut self) -> Option<(usize, CellId)> {
+        let (_, q_idx) = self
+            .frontier
+            .iter()
+            .enumerate()
+            .filter_map(|(q_idx, cells)| Some((*cells.first()?, q_idx)))
+            .min()?;
+        let (_, cell) = self.frontier[q_idx].pop_first()?;
+        Some((q_idx, cell))
+    }
+
     /// Dequeues cells until at least `lambda` fresh candidates are
-    /// collected (or the queue empties). Returns the new candidates;
+    /// collected (or the frontier empties). Returns the new candidates;
     /// the *caller* charges `record_candidate` per returned id, on
     /// whichever lane owns the candidate's verification.
     fn retrieve_batch(&mut self, lambda: usize) -> Vec<TrajectoryId> {
         let mut out = Vec::new();
         let leaf_level = self.index.config().grid_level;
         while out.len() < lambda {
-            let Some(entry) = self.pq.pop() else { break };
-            let q = &self.query.points[entry.q_idx];
-            remove_frontier(&mut self.frontier[entry.q_idx], entry.mdist.0, entry.cell);
-            if entry.cell.level < leaf_level {
-                // Descend: children containing any query activity.
-                for child in self.index.children_with_any(entry.cell, &q.activities) {
-                    let mdist = self.index.grid().min_dist(child, &q.loc);
-                    self.pq.push(PqEntry {
-                        mdist: OrdF64(mdist),
-                        cell: child,
-                        q_idx: entry.q_idx,
-                    });
-                    insert_frontier(&mut self.frontier[entry.q_idx], mdist, child);
-                }
-            } else {
-                // Leaf: harvest the ITL under each query activity.
-                for a in q.activities.iter() {
-                    for &tr in self.index.itl().trajectories(entry.cell, a) {
-                        if !self.seen[tr.index()] {
-                            self.seen[tr.index()] = true;
-                            out.push(tr);
-                        }
+            let Some((q_idx, cell)) = self.pop() else {
+                break;
+            };
+            if cell.level < leaf_level {
+                self.expand(q_idx, cell);
+                continue;
+            }
+            // Leaf: harvest the ITL under each query activity.
+            for a in self.query.points[q_idx].activities.iter() {
+                for &tr in self.index.itl().trajectories(cell, a) {
+                    if !self.seen[tr.index()] {
+                        self.seen[tr.index()] = true;
+                        out.push(tr);
                     }
                 }
             }
@@ -147,15 +129,19 @@ impl<'a> Retrieval<'a> {
     }
 
     fn exhausted(&self) -> bool {
-        self.pq.is_empty()
+        self.frontier.iter().all(BTreeSet::is_empty)
     }
 
-    /// The loose §V-B bound: the raw `mdist` of the queue's top entry,
+    /// The loose §V-B bound: the least `mdist` of any unvisited cell,
     /// which lower-bounds `Dmpm` of *one* query point of any unseen
     /// trajectory and hence `Dmm` as a whole. Used by the ablation
     /// configuration with `tight_lower_bound = false`.
     fn loose_lower_bound(&self) -> f64 {
-        self.pq.peek().map_or(f64::INFINITY, |e| e.mdist.0)
+        self.frontier
+            .iter()
+            .filter_map(BTreeSet::first)
+            .min()
+            .map_or(f64::INFINITY, |&(mdist, _)| mdist.0)
     }
 
     /// Algorithm 2: lower bound on `Dmm(Q, Tr)` over all unseen
@@ -163,16 +149,15 @@ impl<'a> Retrieval<'a> {
     /// materialised as "virtual points" carrying the *entire* activity
     /// set of their cell at `mdist`; the minimum point match over that
     /// virtual trajectory lower-bounds the true `Dmpm` of anything not
-    /// yet retrieved, capped by the distance of the last tracked cell
-    /// when the frontier list was truncated.
+    /// yet retrieved, capped by the distance of the first cell left
+    /// out.
     fn lower_bound(&self) -> f64 {
         if !self.index.config().tight_lower_bound {
             return self.loose_lower_bound();
         }
         let m = self.index.config().lb_cells;
         let mut total = 0.0f64;
-        for (q_idx, q) in self.query.points.iter().enumerate() {
-            let cells = &self.frontier[q_idx];
+        for (q, cells) in self.query.points.iter().zip(&self.frontier) {
             if cells.is_empty() {
                 // The frontier is exact (every pushed cell stays until
                 // popped), so emptiness means no unvisited cell can
@@ -180,28 +165,27 @@ impl<'a> Retrieval<'a> {
                 // matches qi at all.
                 return f64::INFINITY;
             }
-            // The paper's cellsn(qi): the m nearest unvisited cells.
-            let head = &cells[..m.min(cells.len())];
             let qmask = QueryMask::new(&q.activities);
-            let mut virtual_points = Vec::with_capacity(head.len());
-            for &(mdist, cell) in head {
+            let mut rest = cells.iter();
+            // The paper's cellsn(qi): the m nearest unvisited cells,
+            // ascending by mdist.
+            let mut virtual_points = Vec::with_capacity(m.min(cells.len()));
+            for &(mdist, cell) in rest.by_ref().take(m) {
                 if let Some(acts) = self.index.cell_activities(cell) {
                     let mask = qmask.cover_mask(acts);
                     if mask != 0 {
-                        virtual_points.push(CandidatePoint { dist: mdist, mask });
+                        virtual_points.push(CandidatePoint {
+                            dist: mdist.0,
+                            mask,
+                        });
                     }
                 }
             }
-            // head is already ascending by mdist.
             let dmpm = dmpm_from_sorted(&qmask, &virtual_points);
             // Cells beyond the m-th are all at least as far as the
-            // m-th: any match hiding entirely among them costs at
+            // next one: any match hiding entirely among them costs at
             // least that much. Only applies when such cells exist.
-            let cap = if cells.len() > m {
-                cells[m].0
-            } else {
-                f64::INFINITY
-            };
+            let cap = rest.next().map_or(f64::INFINITY, |&(mdist, _)| mdist.0);
             let dilb = match dmpm {
                 Some(v) => v.min(cap),
                 None => cap,
@@ -212,27 +196,6 @@ impl<'a> Retrieval<'a> {
             total += dilb;
         }
         total
-    }
-}
-
-fn insert_frontier(list: &mut Vec<(f64, CellId)>, mdist: f64, cell: CellId) {
-    let pos = list.partition_point(|&(d, _)| d <= mdist);
-    list.insert(pos, (mdist, cell));
-}
-
-/// Removes one frontier entry. The popped entry's exact mdist is known
-/// to the caller, so locate its distance run by binary search and scan
-/// only within it.
-fn remove_frontier(list: &mut Vec<(f64, CellId)>, mdist: f64, cell: CellId) {
-    let start = list.partition_point(|&(d, _)| d < mdist);
-    for pos in start..list.len() {
-        if list[pos].1 == cell {
-            list.remove(pos);
-            return;
-        }
-        if list[pos].0 > mdist {
-            break;
-        }
     }
 }
 

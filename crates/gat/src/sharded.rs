@@ -26,8 +26,8 @@ use crate::kernel::ScoreScratch;
 use crate::search::{search, Goal, Sink, Verifier, Verify};
 use crate::stats::{IoSnapshot, IoStats};
 use atsq_grid::morton_encode;
-use atsq_model::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use atsq_types::{Dataset, Error, Point, Query, QueryResult, Result, TrajectoryId};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
 /// How trajectories are assigned to lanes. Either way the traversal
@@ -169,11 +169,6 @@ impl ShardedEngine {
                 .min(shards),
             router_busy_ns: AtomicU64::new(0),
         })
-    }
-
-    /// Number of lanes.
-    pub fn shard_count(&self) -> usize {
-        self.lanes.len()
     }
 
     /// The partitioner this engine was built with.
@@ -497,7 +492,7 @@ mod tests {
         for partition in [Partition::Hash, Partition::Spatial] {
             for s in [1usize, 2, 3, 7] {
                 let engine = ShardedEngine::build(&d, s, partition).unwrap();
-                assert_eq!(engine.shard_count(), s);
+                assert_eq!(engine.lanes.len(), s);
                 // One owner per trajectory, every owner a real lane.
                 assert_eq!(engine.owner.len(), d.len());
                 assert!(engine.owner.iter().all(|&lane| (lane as usize) < s));

@@ -199,34 +199,6 @@ impl Grid {
     pub fn max_dist(&self, cell: CellId, p: &Point) -> f64 {
         self.cell_rect(cell).max_dist(p)
     }
-
-    /// Iterates over all leaf cells intersecting `rect` (clipped to the
-    /// region), in Morton order.
-    pub fn leaf_cells_in_rect(&self, rect: &Rect) -> Vec<CellId> {
-        let level = self.max_level;
-        let n = self.cells_per_axis(level);
-        if rect.is_empty() || !rect.intersects(&self.region) {
-            return Vec::new();
-        }
-        let to_idx = |v: f64, min: f64, extent: f64| {
-            (((v - min) / extent * n as f64).floor().max(0.0) as u64).min(n as u64 - 1) as u32
-        };
-        let x0 = to_idx(rect.min.x, self.region.min.x, self.region.width());
-        let x1 = to_idx(rect.max.x, self.region.min.x, self.region.width());
-        let y0 = to_idx(rect.min.y, self.region.min.y, self.region.height());
-        let y1 = to_idx(rect.max.y, self.region.min.y, self.region.height());
-        let mut out = Vec::with_capacity(((x1 - x0 + 1) * (y1 - y0 + 1)) as usize);
-        for iy in y0..=y1 {
-            for ix in x0..=x1 {
-                out.push(CellId {
-                    level,
-                    code: morton_encode(ix, iy),
-                });
-            }
-        }
-        out.sort_unstable_by_key(|c| c.code);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -306,16 +278,6 @@ mod tests {
         let d = g.min_dist(c, &Point::new(16.0, 4.0));
         assert!((d - 8.0).abs() < 1e-9);
         assert!(g.max_dist(c, &Point::new(16.0, 4.0)) >= d);
-    }
-
-    #[test]
-    fn leaf_cells_in_rect_cover_query() {
-        let g = grid(3); // 8x8 cells of 8km.
-        let cells = g.leaf_cells_in_rect(&Rect::from_bounds(7.0, 7.0, 9.0, 9.0));
-        assert_eq!(cells.len(), 4);
-        let all = g.leaf_cells_in_rect(&Rect::from_bounds(-10.0, -10.0, 100.0, 100.0));
-        assert_eq!(all.len(), 64);
-        assert!(g.leaf_cells_in_rect(&Rect::empty()).is_empty());
     }
 
     #[test]

@@ -63,31 +63,4 @@ proptest! {
         prop_assert!(g.min_dist(cell, &q) <= q.dist(&inner) + 1e-9);
         prop_assert!(g.max_dist(cell, &q) + 1e-9 >= q.dist(&inner));
     }
-
-    /// leaf_cells_in_rect returns exactly the cells whose rects
-    /// intersect the query.
-    #[test]
-    fn cells_in_rect_complete(
-        x0 in 0.0f64..100.0,
-        y0 in 0.0f64..100.0,
-        w in 0.0f64..40.0,
-        h in 0.0f64..40.0,
-    ) {
-        let g = Grid::new(Rect::from_bounds(0.0, 0.0, 100.0, 100.0), 5);
-        let q = Rect::from_bounds(x0, y0, (x0 + w).min(100.0), (y0 + h).min(100.0));
-        let cells = g.leaf_cells_in_rect(&q);
-        // Sorted and unique.
-        prop_assert!(cells.windows(2).all(|p| p[0].code < p[1].code));
-        // Sampled interior points all land in a returned cell.
-        for fx in [0.1, 0.5, 0.9] {
-            for fy in [0.1, 0.5, 0.9] {
-                let p = Point::new(
-                    q.min.x + fx * q.width(),
-                    q.min.y + fy * q.height(),
-                );
-                let c = g.leaf_cell_of(&p);
-                prop_assert!(cells.contains(&c), "missing cell {c} for {p}");
-            }
-        }
-    }
 }

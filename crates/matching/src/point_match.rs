@@ -183,13 +183,6 @@ impl IncrementalCover {
         let c = self.cost[self.full as usize];
         c.is_finite().then_some(c)
     }
-
-    /// Current best cost covering at least subset `mask`.
-    #[inline]
-    pub fn cover_cost(&self, mask: u32) -> Option<f64> {
-        let c = self.cost[mask as usize];
-        c.is_finite().then_some(c)
-    }
 }
 
 /// Algorithm 3: minimum point match distance from sorted candidates.

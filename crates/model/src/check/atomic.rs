@@ -1,161 +1,67 @@
 //! Model atomics with C11-style store histories.
 //!
-//! Each type is a handle into the current execution's per-location
+//! [`AtomicU64`] is a handle into the current execution's per-location
 //! store history; every access is a scheduler decision point, and
 //! loads additionally branch on *which* store they observe (see the
 //! module docs on [`super`]). API mirrors the `std::sync::atomic`
-//! subset the workspace uses.
+//! subset the ported critical sections use.
 
 pub use std::sync::atomic::Ordering;
 
 use super::ctx;
 
-macro_rules! model_atomic {
-    ($name:ident, $prim:ty) => {
-        /// Model stand-in for the `std` atomic of the same name.
-        pub struct $name {
-            id: usize,
-        }
-
-        impl $name {
-            pub fn new(v: $prim) -> Self {
-                let (rt, _me) = ctx();
-                $name {
-                    id: rt.register_atomic(v as u64),
-                }
-            }
-
-            pub fn load(&self, ord: Ordering) -> $prim {
-                let (rt, me) = ctx();
-                rt.atomic_load(me, self.id, ord) as $prim
-            }
-
-            pub fn store(&self, v: $prim, ord: Ordering) {
-                let (rt, me) = ctx();
-                rt.atomic_store(me, self.id, v as u64, ord)
-            }
-
-            pub fn swap(&self, v: $prim, ord: Ordering) -> $prim {
-                let (rt, me) = ctx();
-                rt.atomic_rmw(me, self.id, ord, |_| v as u64) as $prim
-            }
-
-            pub fn fetch_add(&self, v: $prim, ord: Ordering) -> $prim {
-                let (rt, me) = ctx();
-                rt.atomic_rmw(me, self.id, ord, |old| {
-                    (old as $prim).wrapping_add(v) as u64
-                }) as $prim
-            }
-
-            pub fn fetch_sub(&self, v: $prim, ord: Ordering) -> $prim {
-                let (rt, me) = ctx();
-                rt.atomic_rmw(me, self.id, ord, |old| {
-                    (old as $prim).wrapping_sub(v) as u64
-                }) as $prim
-            }
-
-            pub fn fetch_min(&self, v: $prim, ord: Ordering) -> $prim {
-                let (rt, me) = ctx();
-                rt.atomic_rmw(me, self.id, ord, |old| (old as $prim).min(v) as u64) as $prim
-            }
-
-            pub fn fetch_max(&self, v: $prim, ord: Ordering) -> $prim {
-                let (rt, me) = ctx();
-                rt.atomic_rmw(me, self.id, ord, |old| (old as $prim).max(v) as u64) as $prim
-            }
-
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                let (rt, me) = ctx();
-                rt.atomic_cas(me, self.id, current as u64, new as u64, success, failure)
-                    .map(|v| v as $prim)
-                    .map_err(|v| v as $prim)
-            }
-
-            /// Modeled as the strong variant: never fails spuriously.
-            pub fn compare_exchange_weak(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                self.compare_exchange(current, new, success, failure)
-            }
-        }
-
-        impl std::fmt::Debug for $name {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_struct(stringify!($name))
-                    .field("cell", &self.id)
-                    .finish()
-            }
-        }
-    };
-}
-
-model_atomic!(AtomicU64, u64);
-model_atomic!(AtomicU32, u32);
-model_atomic!(AtomicUsize, usize);
-
-/// Model stand-in for `std::sync::atomic::AtomicBool` (stored as 0/1).
-pub struct AtomicBool {
+/// Model stand-in for `std::sync::atomic::AtomicU64`.
+pub struct AtomicU64 {
     id: usize,
 }
 
-impl AtomicBool {
-    pub fn new(v: bool) -> Self {
+impl AtomicU64 {
+    pub fn new(v: u64) -> Self {
         let (rt, _me) = ctx();
-        AtomicBool {
-            id: rt.register_atomic(u64::from(v)),
+        AtomicU64 {
+            id: rt.register_atomic(v),
         }
     }
 
-    pub fn load(&self, ord: Ordering) -> bool {
+    pub fn load(&self, ord: Ordering) -> u64 {
         let (rt, me) = ctx();
-        rt.atomic_load(me, self.id, ord) != 0
+        rt.atomic_load(me, self.id, ord)
     }
 
-    pub fn store(&self, v: bool, ord: Ordering) {
+    pub fn store(&self, v: u64, ord: Ordering) {
         let (rt, me) = ctx();
-        rt.atomic_store(me, self.id, u64::from(v), ord)
+        rt.atomic_store(me, self.id, v, ord)
     }
 
-    pub fn swap(&self, v: bool, ord: Ordering) -> bool {
+    pub fn swap(&self, v: u64, ord: Ordering) -> u64 {
         let (rt, me) = ctx();
-        rt.atomic_rmw(me, self.id, ord, |_| u64::from(v)) != 0
+        rt.atomic_rmw(me, self.id, ord, |_| v)
+    }
+
+    pub fn fetch_add(&self, v: u64, ord: Ordering) -> u64 {
+        let (rt, me) = ctx();
+        rt.atomic_rmw(me, self.id, ord, |old| old.wrapping_add(v))
+    }
+
+    pub fn fetch_sub(&self, v: u64, ord: Ordering) -> u64 {
+        let (rt, me) = ctx();
+        rt.atomic_rmw(me, self.id, ord, |old| old.wrapping_sub(v))
     }
 
     pub fn compare_exchange(
         &self,
-        current: bool,
-        new: bool,
+        current: u64,
+        new: u64,
         success: Ordering,
         failure: Ordering,
-    ) -> Result<bool, bool> {
+    ) -> Result<u64, u64> {
         let (rt, me) = ctx();
-        rt.atomic_cas(
-            me,
-            self.id,
-            u64::from(current),
-            u64::from(new),
-            success,
-            failure,
-        )
-        .map(|v| v != 0)
-        .map_err(|v| v != 0)
+        rt.atomic_cas(me, self.id, current, new, success, failure)
     }
 }
 
-impl std::fmt::Debug for AtomicBool {
+impl std::fmt::Debug for AtomicU64 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicBool")
-            .field("cell", &self.id)
-            .finish()
+        f.debug_struct("AtomicU64").field("cell", &self.id).finish()
     }
 }

@@ -37,7 +37,7 @@
 //! before, its alternatives are skipped — an identical state's subtree
 //! is already covered by the first occurrence. Deliberate
 //! non-exhaustiveness: `SeqCst` is modeled as `AcqRel` (no global
-//! total order) and `compare_exchange_weak` never fails spuriously.
+//! total order).
 //!
 //! Invariant violations are plain `assert!`/`panic!` in the body: the
 //! first panic aborts the execution and is reported in
@@ -624,8 +624,7 @@ impl Runtime {
         old
     }
 
-    /// Compare-exchange (strong; the weak variant never fails
-    /// spuriously in this model). Failure is a load of the latest
+    /// Compare-exchange (strong). Failure is a load of the latest
     /// store with the failure ordering.
     pub(crate) fn atomic_cas(
         &self,

@@ -42,10 +42,6 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Lock-order naming is a no-op under the model (the explorer
-    /// finds real deadlocks instead of order inversions).
-    pub fn set_name(&self, _name: &str) {}
-
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let (rt, me) = ctx();
         rt.mutex_lock(me, self.id);

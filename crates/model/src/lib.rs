@@ -1,71 +1,16 @@
-//! `atsq-model` — the workspace's concurrency-checking facade.
+//! `atsq-model` — a loom-lite exhaustive interleaving checker.
 //!
-//! Production crates import their synchronization primitives through
-//! this crate's [`sync`], [`atomic`], and [`thread`] modules instead of
-//! naming `std::sync` / `parking_lot` directly. In a normal build the
-//! modules are **pure `pub use` re-exports** of the exact types the
-//! code used before — same types, same layout, same codegen, zero
-//! cost. Under `RUSTFLAGS="--cfg atsq_model"` (loom-style opt-in) the
-//! same paths resolve to the deterministic model-checker types in
-//! [`check`], so the very code that runs in production can be driven
-//! through every bounded interleaving by the DFS explorer.
-//!
-//! The checker itself ([`check`]) also compiles under the `check`
-//! cargo feature so its exhaustive suites can run against faithful
-//! ports of the engine's critical sections without rebuilding the
-//! whole workspace under the cfg:
+//! The checker (`check`, compiled under the `check` cargo feature)
+//! drives faithful ports of the workspace's critical sections —
+//! single-flight loading, lease pinning, the bounded queue, counter
+//! scopes — through every bounded interleaving:
 //!
 //! ```text
 //! cargo test -p atsq-model --features check
 //! ```
 //!
 //! What the checker models (and what it does not) is documented on
-//! [`check`].
+//! the `check` module.
 
-/// Locks and condition variables.
-///
-/// Normal builds: the `parking_lot` shim's non-poisoning `Mutex` /
-/// `Condvar` / `RwLock` (which also carry the dynamic lock-order
-/// checker). Under `cfg(atsq_model)`: the model checker's scheduled
-/// equivalents.
-pub mod sync {
-    #[cfg(not(atsq_model))]
-    pub use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-    #[cfg(atsq_model)]
-    pub use crate::check::sync::{Condvar, Mutex, MutexGuard};
-}
-
-/// Atomic integers and flags.
-///
-/// Normal builds: `std::sync::atomic` types verbatim. Under
-/// `cfg(atsq_model)`: model atomics with C11-style per-location store
-/// histories, so a `Relaxed` load really can observe any write not
-/// yet synchronized-to — the `// ordering:` annotations get executed,
-/// not just read.
-pub mod atomic {
-    /// Memory orderings are the std enum in both build modes; the
-    /// model types interpret it instead of forwarding it.
-    pub use std::sync::atomic::Ordering;
-
-    #[cfg(not(atsq_model))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
-
-    #[cfg(atsq_model)]
-    pub use crate::check::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
-}
-
-/// Thread spawn/join.
-///
-/// Normal builds: `std::thread`. Under `cfg(atsq_model)`: model
-/// threads whose every step is chosen by the DFS scheduler.
-pub mod thread {
-    #[cfg(not(atsq_model))]
-    pub use std::thread::{spawn, JoinHandle};
-
-    #[cfg(atsq_model)]
-    pub use crate::check::thread::{spawn, JoinHandle};
-}
-
-#[cfg(any(atsq_model, feature = "check"))]
+#[cfg(feature = "check")]
 pub mod check;

@@ -22,10 +22,10 @@
 //! is a thread-local flag test — cheap enough to leave enabled on
 //! every engine path.
 
-use atsq_model::atomic::{AtomicU64, Ordering};
-use atsq_model::sync::Mutex;
+use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One query's work-counter delta. Field names follow

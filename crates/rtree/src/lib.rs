@@ -264,14 +264,6 @@ impl<T, S: NodeSummary<T>> RTree<T, S> {
         removed
     }
 
-    /// The `k` nearest items to `q`, ascending by distance.
-    pub fn nearest_k(&self, q: Point, k: usize) -> Vec<(f64, &T)> {
-        self.nearest_iter(q)
-            .take(k)
-            .map(|n| (n.dist, n.data))
-            .collect()
-    }
-
     /// Collects references to every item whose rectangle intersects
     /// `query`.
     pub fn search_rect(&self, query: &Rect) -> Vec<&T> {

@@ -74,12 +74,6 @@ impl<T, S: NodeSummary<T>> Node<T, S> {
         }
     }
 
-    /// Whether this is a leaf node.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     /// Leaf entries (panics on internal nodes).
     pub fn entries(&self) -> &[LeafEntry<T>] {
         match self {

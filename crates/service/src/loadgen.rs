@@ -5,7 +5,7 @@
 //! with **Zipf-skewed reuse** — the skew models real traffic where
 //! popular queries repeat, which is what exercises the result cache.
 //! With `verify` on, every response is checked against direct
-//! [`GatEngine`](atsq_core::GatEngine) answers computed locally.
+//! [`atsq_core::GatEngine`] answers computed locally.
 //!
 //! Multi-city servers are driven with [`run_loadgen_cities`]: each
 //! workload names a city and carries that city's dataset (its own

@@ -5,7 +5,7 @@
 //! (`try_push` fails fast when full) while consumers block until work
 //! arrives or the queue is closed.
 
-use atsq_model::sync::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 
 /// Why a push was refused.

@@ -32,12 +32,13 @@ pub struct ServiceConfig {
     /// means such requests never expire.
     pub default_deadline: Option<Duration>,
     /// Verification lanes ([`Service::build`] only): `1` serves the
-    /// index behind a [`GatEngine`]; above that a [`ShardedEngine`]
-    /// verifies each query's candidates on that many lanes of the
-    /// same index in parallel. Per-query shard threads multiply
-    /// with `workers`: the engine spawns up to `min(shards, cores)`
-    /// threads per query, so a sharded engine under saturating load
-    /// oversubscribes the cores.
+    /// index behind a [`GatEngine`](atsq_core::GatEngine); above that a
+    /// [`ShardedEngine`](atsq_core::ShardedEngine) verifies each
+    /// query's candidates on that many lanes of the same index in
+    /// parallel. Per-query shard threads multiply with `workers`: the
+    /// engine spawns up to `min(shards, cores)` threads per query, so
+    /// a sharded engine under saturating load oversubscribes the
+    /// cores.
     pub shards: usize,
     /// How trajectories map to shards when `shards > 1`.
     pub partition: Partition,
@@ -212,8 +213,9 @@ pub struct Service {
 
 impl Service {
     /// Builds the engine for `dataset` — a single GAT index, or a
-    /// [`ShardedEngine`] when `config.shards > 1` — and starts the
-    /// service. With `config.index_cache` set, the index is loaded
+    /// [`ShardedEngine`](atsq_core::ShardedEngine) when
+    /// `config.shards > 1` — and starts the service. With
+    /// `config.index_cache` set, the index is loaded
     /// from a validated snapshot when one exists (see
     /// [`atsq_core::IndexCache`]); otherwise it is built fresh and
     /// snapshotted for the next start.
@@ -345,12 +347,6 @@ impl Ticket {
     /// when tracing is on ([`ServiceConfig::tracing`]).
     pub fn wait_with_trace(self) -> Option<(Response, Option<TraceReport>)> {
         self.rx.recv().ok().map(|r| (r.response, r.report))
-    }
-
-    /// Waits up to `timeout` for the response, consuming the ticket
-    /// either way.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Response> {
-        self.rx.recv_timeout(timeout).ok().map(|r| r.response)
     }
 }
 
@@ -528,12 +524,15 @@ impl ServiceHandle {
                 Some(engine) => (engine.per_shard_busy_ns(), engine.router_busy_ns()),
                 None => (Vec::new(), None),
             };
+        // Copied out so the startup lock is not held across the
+        // registry's lock in `cities()`.
+        let startup = *self.shared.startup.lock();
         crate::metrics::render(
             &self.stats(),
             &shard_busy_ns,
             router_busy_ns,
             self.shared.slowlog.len(),
-            *self.shared.startup.lock(),
+            startup,
             &self.shared.registry.cities(),
         )
     }
@@ -564,8 +563,12 @@ fn worker_loop(shared: &Shared) {
 
 fn process_batch(shared: &Shared, jobs: Vec<Job>) {
     // Admission at execution time: expire stale requests, serve cache
-    // hits, and collect the remainder for the engine.
+    // hits, and collect the remainder for the engine. Expired jobs and
+    // hits are answered after the cache lock drops: `finish` takes the
+    // slow-log lock and sends the reply, and every worker needs the
+    // cache lock.
     let mut runnable: Vec<Job> = Vec::with_capacity(jobs.len());
+    let mut answered: Vec<(Job, Response, &'static str)> = Vec::new();
     {
         let now = Instant::now();
         let mut caches = shared.caches.partitions.lock();
@@ -575,7 +578,7 @@ fn process_batch(shared: &Shared, jobs: Vec<Job>) {
             }
             if job.deadline.is_some_and(|d| d < now) {
                 shared.stats.record_expired();
-                finish(shared, job, Response::Expired, "expired", None);
+                answered.push((job, Response::Expired, "expired"));
                 continue;
             }
             // Result caching is partitioned per city: the same query
@@ -596,11 +599,14 @@ fn process_batch(shared: &Shared, jobs: Vec<Job>) {
                     results: hit,
                     cached: true,
                 };
-                finish(shared, job, ok, "ok", None);
+                answered.push((job, ok, "ok"));
                 continue;
             }
             runnable.push(job);
         }
+    }
+    for (job, response, status) in answered {
+        finish(shared, job, response, status, None);
     }
     if runnable.is_empty() {
         return;

@@ -69,45 +69,6 @@ pub fn get_varint_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     None // more than 10 continuation bytes cannot be a u64
 }
 
-/// Appends an ascending `u64` sequence as delta varints
-/// (`[count][first][gap][gap]...`).
-///
-/// # Panics
-/// Debug-asserts that `values` is non-decreasing.
-pub fn put_ascending_u64(out: &mut Vec<u8>, values: &[u64]) {
-    put_varint(out, values.len() as u32);
-    let mut prev = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        debug_assert!(i == 0 || v >= prev, "sequence must be non-decreasing");
-        let delta = if i == 0 { v } else { v - prev };
-        put_varint_u64(out, delta);
-        prev = v;
-    }
-}
-
-/// Reads a sequence written by [`put_ascending_u64`].
-pub fn get_ascending_u64(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
-    let n = get_varint(buf, pos)? as usize;
-    // A varint is at least one byte: cheap sanity bound against a
-    // corrupt count causing a huge allocation.
-    if n > buf.len().saturating_sub(*pos) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0u64;
-    for i in 0..n {
-        let delta = get_varint_u64(buf, pos)?;
-        let v = if i == 0 {
-            delta
-        } else {
-            prev.checked_add(delta)?
-        };
-        out.push(v);
-        prev = v;
-    }
-    Some(out)
-}
-
 /// Appends an ascending `u32` sequence as delta varints
 /// (`[count][first][gap][gap]...`).
 ///
@@ -237,36 +198,6 @@ mod tests {
         let mut buf = vec![0xFFu8; 9];
         buf.push(0x02);
         assert_eq!(get_varint_u64(&buf, &mut 0), None);
-    }
-
-    #[test]
-    fn ascending_u64_roundtrip() {
-        for seq in [
-            vec![],
-            vec![0u64],
-            vec![7, 7, 7],
-            vec![0, 1, 2, u64::from(u32::MAX) + 5, 1 << 60, u64::MAX],
-        ] {
-            let mut buf = Vec::new();
-            put_ascending_u64(&mut buf, &seq);
-            let mut pos = 0;
-            assert_eq!(get_ascending_u64(&buf, &mut pos), Some(seq));
-            assert_eq!(pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn ascending_u64_corruption_is_none() {
-        let mut buf = Vec::new();
-        put_ascending_u64(&mut buf, &[1, 2, 3]);
-        buf[0] = 0x7F; // claim 127 entries, only 3 present
-        assert_eq!(get_ascending_u64(&buf, &mut 0), None);
-        // Gap overflowing u64 is rejected.
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 2);
-        put_varint_u64(&mut buf, u64::MAX);
-        put_varint_u64(&mut buf, 1);
-        assert_eq!(get_ascending_u64(&buf, &mut 0), None);
     }
 
     #[test]

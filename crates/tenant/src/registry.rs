@@ -3,11 +3,11 @@
 
 use atsq_core::profile::{EngineCounters, Profiled};
 use atsq_core::Engine;
-use atsq_model::atomic::{AtomicU64, Ordering};
-use atsq_model::sync::{Condvar, Mutex};
 use atsq_types::Dataset;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -328,7 +328,7 @@ struct Victim {
     _engine: Option<Arc<Engine>>,
 }
 
-type EvictHook = Box<dyn Fn(&CityId) + Send + Sync>;
+type EvictHook = Arc<dyn Fn(&CityId) + Send + Sync>;
 
 /// Hosts many named cities (dataset + engine pairs) in one process.
 ///
@@ -451,7 +451,7 @@ impl CityRegistry {
     /// uses it to drop the city's result-cache partition.
     pub fn set_evict_hook(&self, hook: impl Fn(&CityId) + Send + Sync + 'static) {
         let mut slot = self.evict_hook.lock();
-        *slot = Some(Box::new(hook));
+        *slot = Some(Arc::new(hook));
     }
 
     /// Resolves a city for one request, lazily loading it if needed.
@@ -627,9 +627,11 @@ impl CityRegistry {
         }
     }
 
+    /// Calls the hook after its guard drops, so the callback may take
+    /// any lock of its own (the service's result cache does).
     fn notify_evicted(&self, city: &CityId) {
-        let hook = self.evict_hook.lock();
-        if let Some(callback) = hook.as_ref() {
+        let hook = self.evict_hook.lock().clone();
+        if let Some(callback) = hook {
             callback(city);
         }
     }
@@ -683,13 +685,6 @@ impl CityRegistry {
         drop(inner);
         self.finish_evictions(vec![victim]);
         Ok(())
-    }
-
-    /// The dataset of a city, if currently resident. Never triggers a
-    /// load.
-    pub fn peek_dataset(&self, city: &CityId) -> Option<Arc<Dataset>> {
-        let inner = self.inner.lock();
-        inner.entries.get(city).and_then(|e| e.dataset.clone())
     }
 
     /// The engine of a city, if currently resident. Never triggers a
@@ -940,6 +935,34 @@ mod tests {
         drop(registry.resolve(&id("a")).unwrap());
         drop(registry.resolve(&id("b")).unwrap());
         assert_eq!(evicted.lock().clone(), vec!["a".to_owned()]);
+    }
+
+    /// The hook runs with no lock held — neither the registry's nor its
+    /// own slot's — on both the eviction and the unload path.
+    #[test]
+    fn evict_hook_runs_with_no_lock_held() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let registry = CityRegistry::new(id("a"), Some(1));
+        let seen = Arc::clone(&calls);
+        registry.set_evict_hook(move |_| {
+            assert_eq!(parking_lot::held_locks(), 0, "evict hook ran under a lock");
+            // ordering: Relaxed — test-only call counter.
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let builds = Arc::new(AtomicUsize::new(0));
+        for (i, name) in ["a", "b"].iter().enumerate() {
+            registry
+                .add_city(
+                    id(name),
+                    counting_factory(i as u64 + 20, Arc::clone(&builds), Duration::ZERO),
+                )
+                .unwrap();
+        }
+        drop(registry.resolve(&id("a")).unwrap());
+        drop(registry.resolve(&id("b")).unwrap()); // evicts `a`
+        registry.unload(&id("b")).unwrap();
+        // ordering: Relaxed — single-threaded test read.
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

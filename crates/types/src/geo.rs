@@ -42,13 +42,6 @@ impl Point {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Minimum distance from this point to the rectangle `rect`
-    /// (zero when the point lies inside it).
-    #[inline]
-    pub fn min_dist_rect(&self, rect: &Rect) -> f64 {
-        rect.min_dist(self)
-    }
 }
 
 impl fmt::Display for Point {
@@ -204,7 +197,7 @@ impl Rect {
     }
 }
 
-/// Mean Earth radius in kilometres, used by the haversine helpers.
+/// Mean Earth radius in kilometres, used by [`GeoPoint::project`].
 pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// A raw WGS-84 coordinate, for importing real check-in data.
@@ -220,16 +213,6 @@ impl GeoPoint {
     /// Creates a geographic point from degrees.
     pub const fn new(lat: f64, lon: f64) -> Self {
         GeoPoint { lat, lon }
-    }
-
-    /// Great-circle (haversine) distance to `other`, in kilometres.
-    pub fn haversine_km(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
     }
 
     /// Equirectangular projection onto a kilometre plane anchored at
@@ -343,14 +326,14 @@ mod tests {
         assert_eq!(r, Rect::from_bounds(-1.0, 2.0, 1.0, 5.0));
     }
 
-    #[test]
-    fn haversine_known_distance() {
-        // LA city hall to NYC city hall, roughly 3940 km.
-        let la = GeoPoint::new(34.0537, -118.2428);
-        let ny = GeoPoint::new(40.7128, -74.0060);
-        let d = la.haversine_km(&ny);
-        assert!((3900.0..4000.0).contains(&d), "got {d}");
-        assert!((la.haversine_km(&la)).abs() < 1e-9);
+    /// Great-circle (haversine) distance, the oracle the projection is
+    /// measured against.
+    fn haversine_km(a: &GeoPoint, b: &GeoPoint) -> f64 {
+        let (lat1, lat2) = (a.lat.to_radians(), b.lat.to_radians());
+        let dlat = lat2 - lat1;
+        let dlon = (b.lon - a.lon).to_radians();
+        let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
     }
 
     #[test]
@@ -359,7 +342,7 @@ mod tests {
         let a = GeoPoint::new(34.05, -118.25);
         let b = GeoPoint::new(34.10, -118.20);
         let planar = a.project(&origin).dist(&b.project(&origin));
-        let sphere = a.haversine_km(&b);
+        let sphere = haversine_km(&a, &b);
         assert!(
             (planar - sphere).abs() / sphere < 0.01,
             "planar {planar} vs sphere {sphere}"

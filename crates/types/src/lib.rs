@@ -17,7 +17,6 @@ pub mod dataset;
 pub mod error;
 pub mod geo;
 pub mod query;
-pub mod simplify;
 pub mod trajectory;
 
 pub use activity::{ActivityId, ActivitySet, Vocabulary};

@@ -1,6 +1,6 @@
 //! Activity trajectories (Definition 2 of the paper).
 
-use crate::activity::{ActivityId, ActivitySet};
+use crate::activity::ActivitySet;
 use crate::geo::{Point, Rect};
 use std::fmt;
 
@@ -77,11 +77,6 @@ impl Trajectory {
         out
     }
 
-    /// Whether any point of the trajectory carries activity `id`.
-    pub fn contains_activity(&self, id: ActivityId) -> bool {
-        self.points.iter().any(|p| p.activities.contains(id))
-    }
-
     /// Minimum bounding rectangle of all points (empty rect if no points).
     pub fn mbr(&self) -> Rect {
         let mut r = Rect::empty();
@@ -89,16 +84,6 @@ impl Trajectory {
             r.extend_point(&p.loc);
         }
         r
-    }
-
-    /// Indices of the points whose activity set intersects `wanted`.
-    pub fn points_with_any_of(&self, wanted: &ActivitySet) -> Vec<usize> {
-        self.points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.activities.intersects(wanted))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// The sub-trajectory `Tr[i, j]` (inclusive, 0-based) as a slice of
@@ -139,13 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_activity_checks_points() {
-        let t = traj();
-        assert!(t.contains_activity(ActivityId(3)));
-        assert!(!t.contains_activity(ActivityId(9)));
-    }
-
-    #[test]
     fn mbr_covers_all_points() {
         let t = traj();
         let mbr = t.mbr();
@@ -154,16 +132,6 @@ mod tests {
             assert!(mbr.contains_point(&p.loc));
         }
         assert!(Trajectory::new(TrajectoryId(0), vec![]).mbr().is_empty());
-    }
-
-    #[test]
-    fn points_with_any_of_filters() {
-        let t = traj();
-        let q = ActivitySet::from_raw([1]);
-        assert_eq!(t.points_with_any_of(&q), vec![0, 2]);
-        assert!(t
-            .points_with_any_of(&ActivitySet::from_raw([42]))
-            .is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! are real newtypes ([`MutexGuard`], [`RwLockReadGuard`],
 //! [`RwLockWriteGuard`]) with `Deref`/`DerefMut`/`Drop` — which is
 //! what lets every acquisition and release flow through the dynamic
-//! lock-order checker in [`order`]: when `ATSQ_LOCK_ORDER=1` (or by
+//! lock-order checker (the private `order` module): when `ATSQ_LOCK_ORDER=1` (or by
 //! default under `debug_assertions`) each lock gets a stable id, a
 //! global graph records which locks were held when which others were
 //! acquired, and an acquisition that closes a cycle — the AB/BA

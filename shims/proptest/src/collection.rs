@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// Admissible element-count specifications for [`vec`].
+/// Admissible element-count specifications for [`vec()`].
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     min: usize,

@@ -188,49 +188,3 @@ fn kbct_prefers_geometry_over_activities() {
         "k-BCT should disagree with ATSQ on some queries (Fig. 1's point)"
     );
 }
-
-#[test]
-fn simplification_preserves_query_answers() {
-    // Dropping activity-free points must not change any ATSQ/OATSQ
-    // answer (the kernels only consult activity-bearing points).
-    let dataset = generate(&CityConfig::tiny(307)).unwrap();
-    let mut b = atsq_core::prelude::DatasetBuilder::new().without_frequency_ranking();
-    for i in 0..dataset.vocabulary().len() as u32 {
-        let name = dataset
-            .vocabulary()
-            .name(atsq_core::prelude::ActivityId(i))
-            .unwrap();
-        b.observe_activity(name);
-    }
-    for tr in dataset.trajectories() {
-        // Interleave synthetic GPS breadcrumbs between venues.
-        let mut pts = Vec::new();
-        for w in tr.points.windows(2) {
-            pts.push(w[0].clone());
-            let mid = Point::new(
-                (w[0].loc.x + w[1].loc.x) / 2.0,
-                (w[0].loc.y + w[1].loc.y) / 2.0,
-            );
-            pts.push(TrajectoryPoint::new(mid, ActivitySet::new()));
-        }
-        pts.push(tr.points.last().unwrap().clone());
-        b.push_trajectory(atsq_core::types::simplify::simplify(&pts, 0.05));
-    }
-    let simplified = b.finish().unwrap();
-    let g1 = GatEngine::build(&dataset).unwrap();
-    let g2 = GatEngine::build(&simplified).unwrap();
-    let queries = generate_queries(&dataset, &QueryGenConfig::default(), 5);
-    for q in &queries {
-        let a = g1.atsq(&dataset, q, 5);
-        let b2 = g2.atsq(&simplified, q, 5);
-        assert_eq!(
-            a.iter()
-                .map(|r| (r.trajectory, (r.distance * 1e9).round() as i64))
-                .collect::<Vec<_>>(),
-            b2.iter()
-                .map(|r| (r.trajectory, (r.distance * 1e9).round() as i64))
-                .collect::<Vec<_>>(),
-            "simplification changed answers"
-        );
-    }
-}

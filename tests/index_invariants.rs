@@ -318,3 +318,128 @@ fn tight_bound_is_sound_under_tiny_frontier_budget() {
         }
     }
 }
+
+#[test]
+fn frontier_ties_keep_answers_exact() {
+    // Lattice data and query points on grid vertices put many frontier
+    // cells at exactly the same mdist, so pops and the lb_cells cut
+    // both fall inside runs of equal distances. Repeating a query point
+    // makes two query points' frontiers hold the same cells. Every
+    // answer must still equal the scan oracle's, ties included.
+    use atsq_matching::min_order_match_distance;
+    use atsq_types::{
+        rank_top_k, ActivitySet, DatasetBuilder, Point, Query, QueryPoint, QueryResult,
+        TrajectoryPoint,
+    };
+    let mut b = DatasetBuilder::new().without_frequency_ranking();
+    let acts = [
+        b.observe_activity("a"),
+        b.observe_activity("b"),
+        b.observe_activity("c"),
+    ];
+    // Corner points pin the grid region to [0, 16]², so at grid level 4
+    // every lattice point is a cell corner.
+    b.push_trajectory(vec![TrajectoryPoint::new(
+        Point::new(0.0, 0.0),
+        ActivitySet::from_ids([acts[0]]),
+    )]);
+    b.push_trajectory(vec![TrajectoryPoint::new(
+        Point::new(16.0, 16.0),
+        ActivitySet::from_ids([acts[1]]),
+    )]);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    for _ in 0..160 {
+        let len = 1 + next(3);
+        let points = (0..len)
+            .map(|_| {
+                let at = Point::new(next(17) as f64, next(17) as f64);
+                let first = acts[next(3) as usize];
+                let second = acts[next(3) as usize];
+                TrajectoryPoint::new(at, ActivitySet::from_ids([first, second]))
+            })
+            .collect();
+        b.push_trajectory(points);
+    }
+    let d = b.finish().unwrap();
+    let qp = |x: f64, y: f64, ids: &[usize]| {
+        QueryPoint::new(
+            Point::new(x, y),
+            ActivitySet::from_ids(ids.iter().map(|&i| acts[i])),
+        )
+    };
+    let q = Query::new(vec![
+        qp(8.0, 8.0, &[0, 1]),
+        qp(8.0, 8.0, &[0, 1]),
+        qp(4.0, 12.0, &[2]),
+    ])
+    .unwrap();
+
+    let oracle = |ordered: bool| {
+        let all: Vec<QueryResult> = d
+            .trajectories()
+            .iter()
+            .filter_map(|tr| {
+                let dist = if ordered {
+                    min_order_match_distance(&q, &tr.points, f64::INFINITY)
+                } else {
+                    min_match_distance(&q, &tr.points)
+                };
+                dist.map(|dist| QueryResult::new(tr.id, dist))
+            })
+            .collect();
+        rank_top_k(all, usize::MAX)
+    };
+    let (dmm, dmom) = (oracle(false), oracle(true));
+    assert!(dmm.len() > 20 && dmom.len() > 10, "too few matches to test");
+    // Ties at the k-th slot are what the top-k tie-break decides.
+    assert!(dmm.windows(2).any(|w| w[0].distance == w[1].distance));
+
+    for lb_cells in [1usize, 2, 3] {
+        for lambda in [1usize, 2] {
+            for tight_lower_bound in [true, false] {
+                let idx = GatIndex::build_with(
+                    &d,
+                    GatConfig {
+                        grid_level: 4,
+                        memory_level: 2,
+                        lambda,
+                        lb_cells,
+                        tight_lower_bound,
+                        ..GatConfig::default()
+                    },
+                )
+                .unwrap();
+                let case = format!("lb_cells={lb_cells} λ={lambda} tight={tight_lower_bound}");
+                for k in [1usize, 5, 12] {
+                    let want: Vec<_> = dmm.iter().take(k).cloned().collect();
+                    assert_eq!(atsq_gat::atsq(&idx, &d, &q, k), want, "ATSQ k={k} {case}");
+                    let want: Vec<_> = dmom.iter().take(k).cloned().collect();
+                    assert_eq!(atsq_gat::oatsq(&idx, &d, &q, k), want, "OATSQ k={k} {case}");
+                }
+                // Radii equal to an answer's distance put ties on the
+                // boundary, which a range query must include.
+                for (results, ordered) in [(&dmm, false), (&dmom, true)] {
+                    for tau in [results[0].distance, results[results.len() / 3].distance] {
+                        let want: Vec<_> = results
+                            .iter()
+                            .filter(|r| r.distance <= tau)
+                            .cloned()
+                            .collect();
+                        let got = if ordered {
+                            atsq_gat::oatsq_range(&idx, &d, &q, tau)
+                        } else {
+                            atsq_gat::atsq_range(&idx, &d, &q, tau)
+                        };
+                        assert_eq!(got, want, "range τ={tau} ordered={ordered} {case}");
+                    }
+                }
+            }
+        }
+    }
+}
