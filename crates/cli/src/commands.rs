@@ -199,6 +199,15 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ],
         &["ordered", "witness"],
     )?;
+    let tau = f
+        .get("range")
+        .map(|tau| {
+            tau.parse()
+                .ok()
+                .filter(|tau: &f64| !tau.is_nan())
+                .ok_or_else(|| CliError::Usage("--range needs a number".into()))
+        })
+        .transpose()?;
     let dataset = load_dataset(f.require("data")?)?;
     let stops = f.get_all("stop");
     if stops.is_empty() {
@@ -230,10 +239,7 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     let ordered = f.has("ordered");
 
-    let results = if let Some(tau) = f.get("range") {
-        let tau: f64 = tau
-            .parse()
-            .map_err(|_| CliError::Usage("--range needs a number".into()))?;
+    let results = if let Some(tau) = tau {
         if ordered {
             engine.oatsq_range(&dataset, &query, tau)
         } else {
@@ -964,6 +970,12 @@ u2,34.10,-118.30,20,hiking with a view
             let err = run(&sv(&["query", "--data", snap, "--stop", &stop]), &mut out);
             assert!(matches!(err, Err(CliError::Usage(_))), "{stop}: {err:?}");
         }
+        // A NaN radius is a usage error too (exit 2), not a walk of the
+        // whole index that returns nothing.
+        let stop = format!("1,2:{}", name(0));
+        let args = ["query", "--data", snap, "--stop", &stop, "--range", "NaN"];
+        let err = run(&sv(&args), &mut Vec::new());
+        assert!(matches!(err, Err(CliError::Usage(_))), "{err:?}");
         std::fs::remove_file(snap).ok();
     }
 

@@ -425,18 +425,27 @@ mod tests {
 
     /// A cache directory written by earlier builds, byte for byte as
     /// they wrote it for this dataset: a kind-2 manifest plus one index
-    /// file per shard at S = 2 (hash), and a format-1 single-index
-    /// snapshot under the very name this build uses. This build reads
-    /// none of them, so the first sharded start misses, builds, and
-    /// overwrites the format-1 file with a format-2 snapshot that the
-    /// next start loads; the listing reports the leftovers as
-    /// `unsupported snapshot version 1`.
+    /// file per shard at S = 2 (hash), and a format-1 or format-2
+    /// single-index snapshot under the very name this build uses. This
+    /// build reads none of them, so the first sharded start misses,
+    /// builds, and overwrites the old single-index file with a format-3
+    /// snapshot that the next start loads; the listing reports the
+    /// leftovers as `unsupported snapshot version 1`.
     #[test]
     fn legacy_sharded_cache_dir_rebuilds_cleanly() {
         use atsq_types::{ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
+        const SINGLE: &str = "gat-fbb7ee7693c28141-cbe11c6b1.idx";
+        /// The format-2 snapshot of this dataset: grid, ITL, TAS, APL.
+        const V2: &str = "41545351534e4150020001004181c29376eeb7fb3dd9c38e9500000000\
+             000000080604200803000000000000000000000000000000000000000000\
+             000840000000000000f03f080808009122b3669122d5aa019122b3669122\
+             0900010101010101010108000000000101010109000101010101010101\
+             080001020300010203040400000100040000010004000001000400000100\
+             040702000100010101070200010001010107020001000101010702000100\
+             010101";
         const LEGACY: [(&str, &str); 4] = [
             (
-                "gat-fbb7ee7693c28141-cbe11c6b1.idx",
+                SINGLE,
                 "41545351534e4150010001004181c29376eeb7fbfb4ca9f8fe0000000000\
                  0000080604200803000000000000000000000000000000000000000000\
                  000840000000000000f03f0808020002000104000103010400040d0404\
@@ -482,54 +491,65 @@ mod tests {
         let dataset = b.finish().unwrap();
         assert_eq!(dataset.content_hash(), 0xfbb7_ee76_93c2_8141);
 
-        let dir = std::env::temp_dir().join(format!("atsq-core-legacy-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, hex) in LEGACY {
-            let hex: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
-            let bytes: Vec<u8> = hex
-                .chunks(2)
-                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
-                .collect();
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-        let cache = IndexCache::new(&dir);
-
-        let (engine, outcome) =
-            Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
-        match outcome.unwrap() {
-            CacheOutcome::Rebuilt(why) => {
-                assert!(why.contains("unsupported snapshot version 1"), "{why}");
-                assert!(why.ends_with("snapshot saved"), "{why}");
-            }
-            CacheOutcome::Loaded => panic!("legacy files must not load"),
-        }
         let (direct, _) = Engine::build_gat(&dataset, 1, Partition::Hash, None).unwrap();
         let q = Query::new(vec![QueryPoint::new(
             Point::new(2.2, 0.0),
             ActivitySet::from_ids([coffee]),
         )])
         .unwrap();
-        assert_eq!(engine.atsq(&dataset, &q, 3), direct.atsq(&dataset, &q, 3));
-        let (_, outcome) = Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
-        assert!(
-            outcome.unwrap().loaded(),
-            "the saved snapshot must now load"
-        );
+        let unhex = |hex: &str| -> Vec<u8> {
+            let hex: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+            hex.chunks(2)
+                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+                .collect()
+        };
 
-        let listing: Vec<String> = cache
-            .entries()
-            .unwrap()
-            .iter()
-            .map(|path| match snapshot::inspect(path) {
-                Ok(info) => format!("{} v{}", info.kind, info.version),
-                Err(e) => e.to_string(),
-            })
-            .collect();
-        assert_eq!(listing[0], "index v2", "{listing:?}");
-        assert_eq!(listing.len(), 4, "{listing:?}");
-        for old in &listing[1..] {
-            assert!(old.contains("unsupported snapshot version 1"), "{old}");
+        let dir = std::env::temp_dir().join(format!("atsq-core-legacy-{}", std::process::id()));
+        for (version, single) in [(1, LEGACY[0].1), (2, V2)] {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            for (name, hex) in LEGACY {
+                std::fs::write(dir.join(name), unhex(hex)).unwrap();
+            }
+            std::fs::write(dir.join(SINGLE), unhex(single)).unwrap();
+            let old = format!("unsupported snapshot version {version}");
+            let err = snapshot::inspect(&dir.join(SINGLE))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&old), "{err}");
+            let cache = IndexCache::new(&dir);
+
+            let (engine, outcome) =
+                Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
+            match outcome.unwrap() {
+                CacheOutcome::Rebuilt(why) => {
+                    assert!(why.contains(&old), "{why}");
+                    assert!(why.ends_with("snapshot saved"), "{why}");
+                }
+                CacheOutcome::Loaded => panic!("legacy files must not load"),
+            }
+            assert_eq!(engine.atsq(&dataset, &q, 3), direct.atsq(&dataset, &q, 3));
+            let (_, outcome) =
+                Engine::build_gat(&dataset, 2, Partition::Hash, Some(&cache)).unwrap();
+            assert!(
+                outcome.unwrap().loaded(),
+                "the saved snapshot must now load"
+            );
+
+            let listing: Vec<String> = cache
+                .entries()
+                .unwrap()
+                .iter()
+                .map(|path| match snapshot::inspect(path) {
+                    Ok(info) => format!("{} v{}", info.kind, info.version),
+                    Err(e) => e.to_string(),
+                })
+                .collect();
+            assert_eq!(listing[0], "index v3", "{listing:?}");
+            assert_eq!(listing.len(), 4, "{listing:?}");
+            for old in &listing[1..] {
+                assert!(old.contains("unsupported snapshot version 1"), "{old}");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,47 +3,129 @@
 //! For each trajectory and each activity it contains, the APL lists the
 //! indexes of the trajectory points carrying the activity. The paper
 //! stores this on disk "due to its high space requirement" and fetches
-//! it only when a candidate's distance must be evaluated; callers of
-//! [`TrajectoryPostings::postings`] are expected to charge an
-//! [`crate::stats::IoStats::record_apl_read`] per access.
+//! it only when a candidate's distance must be evaluated. Here the
+//! lists are resident: four flat columns derived from the dataset in
+//! one pass whenever an index is built or loaded (the snapshot does not
+//! store them). Callers of [`Apl::trajectory`] still charge an
+//! [`crate::stats::IoStats::record_apl_read`] per access, counting the
+//! fetch the paper would make.
 
 use atsq_types::{ActivityId, ActivitySet, Trajectory};
-use std::collections::HashMap;
 
-/// Posting lists of one trajectory: activity → ascending point indexes.
-#[derive(Debug, Clone, Default)]
-pub struct TrajectoryPostings {
-    lists: HashMap<ActivityId, Vec<u32>>,
+/// The APL table: every trajectory's posting lists as flat columns.
+///
+/// Trajectory `t` owns the keys `trajectory_keys[t]..trajectory_keys[t + 1]`;
+/// key `k` is one activity of its trajectory (ascending within the
+/// trajectory) and owns the points `key_points[k]..key_points[k + 1]`
+/// of the `points` column (ascending within the key).
+#[derive(Debug, Clone)]
+pub struct Apl {
+    trajectory_keys: Vec<u32>,
+    keys: Vec<ActivityId>,
+    key_points: Vec<u32>,
+    points: Vec<u32>,
 }
 
-impl TrajectoryPostings {
-    /// Builds the posting lists from a trajectory's points.
-    pub fn build(tr: &Trajectory) -> Self {
-        let mut lists: HashMap<ActivityId, Vec<u32>> = HashMap::new();
-        for (idx, p) in tr.points.iter().enumerate() {
-            for a in p.activities.iter() {
-                lists.entry(a).or_default().push(idx as u32);
+impl Apl {
+    /// Builds the columns in one pass over the trajectories, in order.
+    pub fn build<'a>(trajectories: impl IntoIterator<Item = &'a Trajectory>) -> Self {
+        let mut apl = Apl {
+            trajectory_keys: vec![0],
+            keys: Vec::new(),
+            key_points: vec![0],
+            points: Vec::new(),
+        };
+        // (activity, point index) pairs of one trajectory, packed as
+        // `activity << 32 | index`: sorting them groups each activity's
+        // points, ascending.
+        let mut pairs: Vec<u64> = Vec::new();
+        for tr in trajectories {
+            pairs.clear();
+            for (idx, p) in tr.points.iter().enumerate() {
+                pairs.extend(
+                    p.activities
+                        .iter()
+                        .map(|a| (u64::from(a.0) << 32) | idx as u64),
+                );
             }
+            pairs.sort_unstable();
+            for run in pairs.chunk_by(|x, y| x >> 32 == y >> 32) {
+                apl.keys.push(ActivityId((run[0] >> 32) as u32));
+                apl.points.extend(run.iter().map(|&pair| pair as u32));
+                apl.key_points
+                    .push(u32::try_from(apl.points.len()).expect("under 2^32 postings"));
+            }
+            apl.trajectory_keys
+                .push(u32::try_from(apl.keys.len()).expect("under 2^32 keys"));
         }
-        TrajectoryPostings { lists }
+        apl
+    }
+
+    /// The posting lists of trajectory `idx`.
+    pub fn trajectory(&self, idx: usize) -> TrajectoryPostings<'_> {
+        let keys = self.trajectory_keys[idx] as usize..self.trajectory_keys[idx + 1] as usize;
+        TrajectoryPostings {
+            keys: &self.keys[keys.clone()],
+            key_points: &self.key_points[keys.start..=keys.end],
+            points: &self.points,
+        }
+    }
+
+    /// Number of trajectories covered.
+    pub fn len(&self) -> usize {
+        self.trajectory_keys.len() - 1
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Simulated on-disk footprint: 4 bytes per posting plus 8 per
+    /// (trajectory, activity) list header.
+    pub fn disk_bytes(&self) -> usize {
+        self.points.len() * 4 + self.keys.len() * 8
+    }
+}
+
+/// Posting lists of one trajectory: activity → ascending point indexes.
+/// A view into the [`Apl`] columns.
+#[derive(Debug, Clone, Copy)]
+pub struct TrajectoryPostings<'a> {
+    /// The trajectory's activities, ascending.
+    keys: &'a [ActivityId],
+    /// `keys.len() + 1` offsets into `points`, one run per key.
+    key_points: &'a [u32],
+    points: &'a [u32],
+}
+
+impl<'a> TrajectoryPostings<'a> {
+    /// The distinct activities of the trajectory, ascending.
+    pub fn activities(&self) -> &'a [ActivityId] {
+        self.keys
     }
 
     /// Point indexes carrying `act` (ascending), empty when absent.
-    pub fn postings(&self, act: ActivityId) -> &[u32] {
-        self.lists.get(&act).map_or(&[][..], Vec::as_slice)
+    pub fn postings(&self, act: ActivityId) -> &'a [u32] {
+        match self.keys.binary_search(&act) {
+            Ok(k) => &self.points[self.key_points[k] as usize..self.key_points[k + 1] as usize],
+            Err(_) => &[],
+        }
     }
 
     /// Whether the trajectory contains every activity of `wanted` —
     /// the exact validation that removes TAS false positives (§V-C).
     pub fn contains_all(&self, wanted: &ActivitySet) -> bool {
-        wanted.iter().all(|a| self.lists.contains_key(&a))
+        // Both sides ascend: one forward walk over the keys.
+        let mut keys = self.keys.iter();
+        wanted.iter().all(|a| keys.find(|&&k| k >= a) == Some(&a))
     }
 
     /// Deduplicated union of the postings of all activities in
     /// `wanted` — the candidate point set `CP` of Algorithm 3, line 1 —
     /// written into a caller-owned buffer: the hot search loop reuses
     /// one buffer per query instead of allocating per candidate
-    /// evaluation.
+    /// evaluation. Ascending.
     pub fn candidate_indexes_into(&self, wanted: &ActivitySet, out: &mut Vec<u32>) {
         out.clear();
         for a in wanted.iter() {
@@ -51,135 +133,6 @@ impl TrajectoryPostings {
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// Number of posting entries (memory accounting).
-    pub fn posting_count(&self) -> usize {
-        self.lists.values().map(Vec::len).sum()
-    }
-
-    /// The largest point index any posting references, `None` when the
-    /// lists are empty (lists are ascending, so only last elements are
-    /// inspected). The snapshot loader uses it to reject decoded
-    /// postings pointing outside their trajectory.
-    pub fn max_position(&self) -> Option<u32> {
-        self.lists
-            .values()
-            .filter_map(|list| list.last())
-            .copied()
-            .max()
-    }
-
-    /// Serializes the posting lists as one record of [`Apl::encode`]:
-    /// `[n_lists][per list: activity id, delta-coded indexes]`, lists
-    /// ascending by activity id so the encoding is deterministic.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use atsq_storage::codec::{put_ascending, put_varint};
-        let mut acts: Vec<ActivityId> = self.lists.keys().copied().collect();
-        acts.sort_unstable();
-        // Rough capacity: 1 byte/posting after delta coding + headers.
-        let mut out = Vec::with_capacity(8 + self.posting_count() * 2);
-        put_varint(&mut out, acts.len() as u32);
-        for a in acts {
-            put_varint(&mut out, a.0);
-            put_ascending(&mut out, &self.lists[&a]);
-        }
-        out
-    }
-
-    /// Decodes [`TrajectoryPostings::to_bytes`] output. `None` on any
-    /// truncation or inconsistency — the snapshot loader then rejects
-    /// the snapshot rather than serving partial postings.
-    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        use atsq_storage::codec::{get_ascending, get_varint};
-        let mut pos = 0;
-        let n = get_varint(buf, &mut pos)? as usize;
-        let mut lists = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let act = ActivityId(get_varint(buf, &mut pos)?);
-            let indexes = get_ascending(buf, &mut pos)?;
-            lists.insert(act, indexes);
-        }
-        if pos != buf.len() {
-            return None; // trailing garbage
-        }
-        Some(TrajectoryPostings { lists })
-    }
-}
-
-/// The APL table: posting lists for every trajectory, by index.
-#[derive(Debug, Clone, Default)]
-pub struct Apl {
-    per_trajectory: Vec<TrajectoryPostings>,
-}
-
-impl Apl {
-    /// Builds posting lists for every trajectory.
-    pub fn build<'a>(trajectories: impl IntoIterator<Item = &'a Trajectory>) -> Self {
-        Apl {
-            per_trajectory: trajectories
-                .into_iter()
-                .map(TrajectoryPostings::build)
-                .collect(),
-        }
-    }
-
-    /// The posting lists of trajectory `idx`.
-    pub fn trajectory(&self, idx: usize) -> &TrajectoryPostings {
-        &self.per_trajectory[idx]
-    }
-
-    /// Number of trajectories covered.
-    pub fn len(&self) -> usize {
-        self.per_trajectory.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.per_trajectory.is_empty()
-    }
-
-    /// Serializes the table: one length-prefixed
-    /// [`TrajectoryPostings::to_bytes`] record per trajectory, in
-    /// index order.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        use atsq_storage::codec::put_varint;
-        put_varint(out, self.per_trajectory.len() as u32);
-        for t in &self.per_trajectory {
-            let bytes = t.to_bytes();
-            put_varint(out, bytes.len() as u32);
-            out.extend_from_slice(&bytes);
-        }
-    }
-
-    /// Decodes [`Apl::encode`] output from `buf[*pos..]`, advancing
-    /// `pos`. `None` on truncation or a record that fails to decode.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        use atsq_storage::codec::get_varint;
-        let n = get_varint(buf, pos)? as usize;
-        if n > buf.len().saturating_sub(*pos) {
-            return None; // each record costs at least one byte
-        }
-        let mut per_trajectory = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = get_varint(buf, pos)? as usize;
-            let end = pos.checked_add(len)?;
-            if end > buf.len() {
-                return None;
-            }
-            per_trajectory.push(TrajectoryPostings::from_bytes(&buf[*pos..end])?);
-            *pos = end;
-        }
-        Some(Apl { per_trajectory })
-    }
-
-    /// Simulated on-disk footprint: 4 bytes per posting plus 8 per
-    /// (trajectory, activity) list header.
-    pub fn disk_bytes(&self) -> usize {
-        self.per_trajectory
-            .iter()
-            .map(|t| t.posting_count() * 4 + t.lists.len() * 8)
-            .sum()
     }
 }
 
@@ -205,108 +158,57 @@ mod tests {
 
     #[test]
     fn postings_record_indexes() {
-        let t = tr(vec![(0.0, &[1, 2]), (1.0, &[2]), (2.0, &[1])]);
-        let p = TrajectoryPostings::build(&t);
+        let apl = Apl::build([&tr(vec![(0.0, &[1, 2]), (1.0, &[2]), (2.0, &[1])])]);
+        let p = apl.trajectory(0);
         assert_eq!(p.postings(ActivityId(1)), &[0, 2]);
         assert_eq!(p.postings(ActivityId(2)), &[0, 1]);
         assert!(p.postings(ActivityId(3)).is_empty());
-        assert_eq!(p.posting_count(), 4);
+        assert_eq!(p.activities(), &[ActivityId(1), ActivityId(2)]);
+        assert_eq!(apl.disk_bytes(), 4 * 4 + 2 * 8);
     }
 
     #[test]
     fn contains_all_is_exact() {
-        let t = tr(vec![(0.0, &[1]), (1.0, &[2])]);
-        let p = TrajectoryPostings::build(&t);
+        let apl = Apl::build([&tr(vec![(0.0, &[1]), (1.0, &[2])])]);
+        let p = apl.trajectory(0);
         assert!(p.contains_all(&ActivitySet::from_raw([1, 2])));
         assert!(!p.contains_all(&ActivitySet::from_raw([1, 3])));
+        assert!(!p.contains_all(&ActivitySet::from_raw([0, 1])));
         assert!(p.contains_all(&ActivitySet::new()));
     }
 
     #[test]
     fn candidate_indexes_union_dedup() {
-        let t = tr(vec![(0.0, &[1, 2]), (1.0, &[2]), (2.0, &[3])]);
-        let p = TrajectoryPostings::build(&t);
+        let apl = Apl::build([&tr(vec![(0.0, &[1, 2]), (1.0, &[2]), (2.0, &[3])])]);
+        let p = apl.trajectory(0);
         let mut out = vec![7];
         p.candidate_indexes_into(&ActivitySet::from_raw([1, 2]), &mut out);
         assert_eq!(out, vec![0, 1]);
         p.candidate_indexes_into(&ActivitySet::from_raw([1, 2, 3]), &mut out);
         assert_eq!(out, vec![0, 1, 2]);
+        p.candidate_indexes_into(&ActivitySet::from_raw([2, 9]), &mut out);
+        assert_eq!(out, vec![0, 1]);
         p.candidate_indexes_into(&ActivitySet::from_raw([9]), &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn postings_bytes_roundtrip() {
-        let t = tr(vec![(0.0, &[1, 2]), (1.0, &[2]), (2.0, &[1, 7])]);
-        let p = TrajectoryPostings::build(&t);
-        let bytes = p.to_bytes();
-        let q = TrajectoryPostings::from_bytes(&bytes).unwrap();
-        for a in [1u32, 2, 7, 9] {
-            assert_eq!(p.postings(ActivityId(a)), q.postings(ActivityId(a)));
-        }
-        assert_eq!(q.posting_count(), p.posting_count());
-    }
-
-    #[test]
-    fn postings_bytes_are_deterministic() {
-        let t = tr(vec![(0.0, &[5, 3, 1]), (1.0, &[3])]);
-        let a = TrajectoryPostings::build(&t).to_bytes();
-        let b = TrajectoryPostings::build(&t).to_bytes();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_postings_roundtrip() {
-        let p = TrajectoryPostings::default();
-        let q = TrajectoryPostings::from_bytes(&p.to_bytes()).unwrap();
-        assert_eq!(q.posting_count(), 0);
-    }
-
-    #[test]
-    fn from_bytes_rejects_truncation_and_garbage() {
-        let t = tr(vec![(0.0, &[1, 2]), (1.0, &[2])]);
-        let bytes = TrajectoryPostings::build(&t).to_bytes();
-        assert!(TrajectoryPostings::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(TrajectoryPostings::from_bytes(&extra).is_none());
-    }
-
-    #[test]
-    fn apl_encode_decode_roundtrip() {
-        let t0 = tr(vec![(0.0, &[1, 2]), (1.0, &[2])]);
-        let t1 = tr(vec![(0.0, &[7])]);
-        let t2 = tr(vec![]);
-        let apl = Apl::build([&t0, &t1, &t2]);
-        let mut buf = Vec::new();
-        apl.encode(&mut buf);
-        let mut pos = 0;
-        let q = Apl::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
-        assert_eq!(q.len(), 3);
-        for idx in 0..3 {
-            for a in [1u32, 2, 7, 9] {
-                assert_eq!(
-                    apl.trajectory(idx).postings(ActivityId(a)),
-                    q.trajectory(idx).postings(ActivityId(a)),
-                    "trajectory {idx} activity {a}"
-                );
-            }
-        }
-        // Truncation fails cleanly at every prefix.
-        for cut in 0..buf.len() {
-            assert!(Apl::decode(&buf[..cut], &mut 0).is_none(), "cut={cut}");
-        }
-    }
-
-    #[test]
     fn apl_table_indexes_by_trajectory() {
         let t0 = tr(vec![(0.0, &[1])]);
-        let t1 = tr(vec![(0.0, &[2])]);
-        let apl = Apl::build([&t0, &t1]);
-        assert_eq!(apl.len(), 2);
+        let empty = tr(vec![]);
+        let bare = tr(vec![(0.0, &[])]);
+        let t3 = tr(vec![(0.0, &[2])]);
+        let apl = Apl::build([&t0, &empty, &bare, &t3]);
+        assert_eq!(apl.len(), 4);
         assert!(apl.trajectory(0).contains_all(&ActivitySet::from_raw([1])));
-        assert!(apl.trajectory(1).contains_all(&ActivitySet::from_raw([2])));
+        for idx in [1, 2] {
+            assert!(apl.trajectory(idx).activities().is_empty());
+            assert!(!apl
+                .trajectory(idx)
+                .contains_all(&ActivitySet::from_raw([1])));
+        }
+        assert_eq!(apl.trajectory(3).postings(ActivityId(2)), &[0]);
         assert!(apl.disk_bytes() > 0);
+        assert!(Apl::build(std::iter::empty()).is_empty());
     }
 }

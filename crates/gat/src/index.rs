@@ -3,9 +3,9 @@
 //! A [`GatIndex`] is immutable: it is built once from a dataset (or
 //! loaded from a snapshot) and only read afterwards. Building collects
 //! every `(leaf cell, activity, trajectory)` posting into the ITL's
-//! sorted columns, derives the HICL from the ITL's keys, and sketches
-//! and lists each trajectory for the TAS and APL. A changed dataset
-//! means a new index.
+//! sorted columns; build and load then derive the rest the same way:
+//! the HICL from the ITL's keys, the APL from the dataset, and the TAS
+//! from the APL's keys. A changed dataset means a new index.
 
 use crate::apl::{Apl, TrajectoryPostings};
 use crate::config::GatConfig;
@@ -38,11 +38,17 @@ impl GatIndex {
         Self::build_with(dataset, GatConfig::default())
     }
 
-    /// Assembles an index from its stored components, deriving the HICL
-    /// from the ITL (the build's and the snapshot loader's constructor).
-    /// The snapshot loader has already validated cross-component
-    /// consistency; the result has fresh I/O counters.
-    pub(crate) fn from_parts(config: GatConfig, grid: Grid, itl: Itl, tas: Tas, apl: Apl) -> Self {
+    /// Assembles an index from its stored components — the build's and
+    /// the snapshot loader's one constructor. Derives the HICL from the
+    /// ITL, the APL from `dataset` and the TAS from the APL's keys. The
+    /// snapshot loader has already checked the ITL against `dataset`;
+    /// the result has fresh I/O counters.
+    pub(crate) fn from_parts(config: GatConfig, grid: Grid, itl: Itl, dataset: &Dataset) -> Self {
+        let apl = Apl::build(dataset.trajectories());
+        let tas = Tas::build(
+            (0..apl.len()).map(|t| apl.trajectory(t).activities()),
+            config.tas_intervals,
+        );
         GatIndex {
             config,
             grid,
@@ -60,8 +66,8 @@ impl GatIndex {
         let region = usable_region(dataset.bounds());
         let grid = Grid::new(region, config.grid_level);
 
-        // One pass over all points collects the ITL postings; the HICL
-        // is derived from their keys.
+        // One pass over all points collects the ITL postings;
+        // `from_parts` derives the other three components.
         let grid_ref = &grid;
         let itl = Itl::build(
             config.grid_level,
@@ -72,12 +78,7 @@ impl GatIndex {
                 })
             }),
         );
-        let tas = Tas::build(
-            dataset.trajectories().iter().map(|tr| tr.all_activities()),
-            config.tas_intervals,
-        );
-        let apl = Apl::build(dataset.trajectories().iter());
-        Ok(Self::from_parts(config, grid, itl, tas, apl))
+        Ok(Self::from_parts(config, grid, itl, dataset))
     }
 
     /// The configuration the index was built with.
@@ -111,7 +112,7 @@ impl GatIndex {
     }
 
     /// The posting lists of trajectory `idx`, charging one APL read.
-    pub fn postings(&self, idx: usize) -> &TrajectoryPostings {
+    pub fn postings(&self, idx: usize) -> TrajectoryPostings<'_> {
         self.stats.record_apl_read();
         self.apl.trajectory(idx)
     }

@@ -3,8 +3,9 @@
 //! Algorithm 3 consumes candidate points as `(dist, cover-mask)` pairs
 //! sorted ascending by distance. The straightforward AoS formulation
 //! (`score_scalar`, kept as the tests' reference) interleaves a
-//! hash-map posting lookup, a distance and a mask per candidate point,
-//! which defeats autovectorization and allocates per call. The batch
+//! gather through the APL's point indexes, a distance and a mask per
+//! candidate point, which defeats autovectorization and allocates per
+//! call. The batch
 //! formulation ([`ScoreScratch::score`])
 //! first *gathers* the candidate coordinates and activity masks into
 //! contiguous structure-of-arrays buffers — dropping zero-mask points
@@ -174,7 +175,7 @@ fn score_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apl::TrajectoryPostings;
+    use crate::apl::Apl;
     use atsq_matching::point_match::dmpm_from_sorted;
     use atsq_types::{ActivitySet, Trajectory, TrajectoryId};
 
@@ -219,7 +220,8 @@ mod tests {
             // a query activity, so with gaps).
             let all: Vec<u32> = (0..points.len() as u32).collect();
             let mut union = Vec::new();
-            TrajectoryPostings::build(&Trajectory::new(TrajectoryId(0), points.clone()))
+            Apl::build([&Trajectory::new(TrajectoryId(0), points.clone())])
+                .trajectory(0)
                 .candidate_indexes_into(&query_acts, &mut union);
             union_arms[usize::from(union.len() >= SOA_MIN_BATCH)] = true;
 

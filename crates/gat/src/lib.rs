@@ -16,10 +16,11 @@
 //!    trajectory's activity ids, used to discard candidates that cannot
 //!    cover the query activities without touching the full data.
 //! 4. **APL** ([`apl`]) — per trajectory, a posting list from activity
-//!    to the point indexes carrying it; consulted only when a distance
-//!    must actually be evaluated. The paper stores it on disk; this
-//!    crate keeps it in memory and counts each fetch the paper would
-//!    make ([`stats::IoStats`]).
+//!    to the point indexes carrying it, as flat columns; consulted only
+//!    when a distance must actually be evaluated. The paper stores it
+//!    on disk; this crate derives it from the dataset, keeps it in
+//!    memory and counts each fetch the paper would make
+//!    ([`stats::IoStats`]).
 //!
 //! [`search`] implements Algorithm 1 (the one search loop), the
 //! candidate retrieval of §V-A, the tightened lower bound of
@@ -28,10 +29,11 @@
 //! lanes of one index.
 //!
 //! The index is immutable once built. [`snapshot`] persists it as a
-//! versioned, checksummed binary snapshot (the ITL columns, TAS and
-//! APL; the HICL is derived again on load) keyed by the dataset's
-//! content hash, so a server restart loads in milliseconds instead of
-//! rebuilding every layer; see [`snapshot::IndexCache`].
+//! versioned, checksummed binary snapshot (the configuration, grid and
+//! ITL columns; the HICL, TAS and APL are derived again on load) keyed
+//! by the dataset's content hash, so a server restart loads in
+//! milliseconds instead of rebuilding every layer; see
+//! [`snapshot::IndexCache`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -408,7 +408,8 @@ pub(crate) fn search(
     }
     let wants_nothing = match goal {
         Goal::TopK(k) => k == 0,
-        Goal::Range(tau) => tau < 0.0,
+        // A NaN radius admits nothing, like a negative one.
+        Goal::Range(tau) => tau.is_nan() || tau < 0.0,
     };
     if wants_nothing || dataset.is_empty() {
         return Ok(Vec::new());
@@ -663,6 +664,19 @@ mod tests {
         let empty = DatasetBuilder::new().finish().unwrap();
         let idx2 = GatIndex::build(&empty).unwrap();
         assert!(atsq(&idx2, &empty, &query(), 3).is_empty());
+    }
+
+    /// A NaN radius wants nothing, like a negative one: the search
+    /// retrieves no candidate at all.
+    #[test]
+    fn nan_radius_retrieves_nothing() {
+        let d = dataset();
+        let idx = GatIndex::build_with(&d, config()).unwrap();
+        for tau in [f64::NAN, -1.0] {
+            assert!(atsq_range(&idx, &d, &query(), tau).is_empty());
+            assert!(oatsq_range(&idx, &d, &query(), tau).is_empty());
+        }
+        assert_eq!(idx.stats().snapshot().candidates_retrieved, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Building a [`GatIndex`] is expensive relative to querying it, yet
 //! every process start used to rebuild all layers. This module
-//! serializes a built index (grid + ITL + TAS + APL) into a
+//! serializes a built index (configuration + grid + ITL) into a
 //! versioned, checksummed binary snapshot keyed by
 //! [`Dataset::content_hash`], so a restart *loads* instead of
 //! *builds*. A sharded engine persists nothing of its own: it shards
@@ -12,16 +12,17 @@
 //! Safety over speed: a snapshot is only ever used when every check
 //! passes — magic, format version, payload checksum
 //! ([`atsq_storage::crc32`], the zlib CRC-32),
-//! dataset content hash, GAT configuration, and cross-component
-//! consistency. Any mismatch yields a descriptive error and the caller
-//! falls back to a fresh build: the worst possible outcome of a
-//! corrupt or stale snapshot is a rebuild, never a wrong answer.
+//! dataset content hash, GAT configuration, and the ITL's consistency
+//! with the grid and the dataset. Any mismatch yields a descriptive
+//! error and the caller falls back to a fresh build: the worst possible
+//! outcome of a corrupt or stale snapshot is a rebuild, never a wrong
+//! answer.
 //!
 //! ## File format
 //!
 //! ```text
 //! offset 0   [u8; 8]  magic b"ATSQSNAP"
-//! offset 8   u16 LE   format version (currently 2)
+//! offset 8   u16 LE   format version (currently 3)
 //! offset 10  u8       kind (1 = index)
 //! offset 11  u8       reserved (written as 0)
 //! offset 12  u64 LE   content hash of the dataset the payload serves
@@ -30,29 +31,29 @@
 //! offset 32  ...      payload
 //! ```
 //!
-//! The payload is the [`GatConfig`], the grid geometry and three
-//! components — ITL, TAS, APL — each through its own strict
-//! `encode`/`decode` pair. The ITL section is its sorted columns; the
-//! HICL is not stored at all: loading validates the ITL columns and
-//! derives the HICL from their keys ([`crate::hicl::Hicl::derive`]),
-//! exactly as a build does.
+//! The payload is the [`GatConfig`], the grid geometry and the ITL's
+//! sorted columns, each through its own strict `encode`/`decode` pair.
+//! Nothing else is stored: the other three components are pure
+//! functions of the ITL and the dataset the loader is handed, so
+//! loading validates the ITL and derives them exactly as a build does
+//! (`GatIndex::from_parts`) — the HICL from the ITL's keys, the APL
+//! from the dataset, the TAS from the APL's keys.
 //!
-//! Version 1 files also carried a HICL section, and earlier builds
-//! wrote kind-2 *shard manifests* (`*.manifest`, next to per-shard
-//! `*.shardNNN.idx` files). This build reads neither: a version-1
-//! snapshot fails its header check, so the cache rebuilds and
-//! overwrites it on the next start, and [`inspect`] reports such files
-//! as `unsupported snapshot version 1`.
+//! Version 1 files also carried HICL, TAS and APL sections, version 2
+//! files TAS and APL sections, and earlier builds wrote kind-2 *shard
+//! manifests* (`*.manifest`, next to per-shard `*.shardNNN.idx` files).
+//! This build reads none of them: a version-1 or version-2 snapshot
+//! fails its header check, so the cache rebuilds and overwrites it on
+//! the next start, and [`inspect`] reports such files as `unsupported
+//! snapshot version N`.
 //!
 //! [`IndexCache`] wraps the format in a directory-level API
 //! (`load_or_build`, `save`, `inspect`) used by `atsq index build`,
 //! `atsq serve --index-cache` and `ServiceConfig::index_cache`.
 
-use crate::apl::Apl;
 use crate::config::GatConfig;
 use crate::index::GatIndex;
 use crate::itl::Itl;
-use crate::tas::Tas;
 use atsq_grid::Grid;
 use atsq_storage::codec::{get_varint_u64, put_varint_u64};
 use atsq_storage::crc32;
@@ -64,7 +65,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ATSQSNAP";
 
 /// Format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Header length in bytes (see the module docs for the layout).
 pub const SNAPSHOT_HEADER_LEN: usize = 32;
@@ -268,8 +269,6 @@ fn write_index_with_hash(index: &GatIndex, dataset_hash: u64) -> Vec<u8> {
     encode_config(index.config(), &mut payload);
     encode_grid(index.grid(), &mut payload);
     index.itl().encode(&mut payload);
-    index.tas().encode(&mut payload);
-    index.apl().encode(&mut payload);
     frame(KIND_INDEX, dataset_hash, &payload)
 }
 
@@ -294,8 +293,6 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
     config.validate()?;
     let grid = decode_grid(buf, &mut pos).ok_or_else(|| component("grid geometry"))?;
     let itl = Itl::decode(buf, &mut pos).ok_or_else(|| component("ITL"))?;
-    let tas = Tas::decode(buf, &mut pos).ok_or_else(|| component("TAS"))?;
-    let apl = Apl::decode(buf, &mut pos).ok_or_else(|| component("APL"))?;
     if pos != buf.len() {
         return Err(corrupt(format!(
             "snapshot corrupt: {} undecoded bytes after the last component",
@@ -319,15 +316,7 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
             config.grid_level
         )));
     }
-    if tas.len() != dataset.len() || apl.len() != dataset.len() {
-        return Err(inconsistent(format!(
-            "TAS covers {} and APL {} trajectories, dataset has {}",
-            tas.len(),
-            apl.len(),
-            dataset.len()
-        )));
-    }
-    // Range checks on every decoded reference into the dataset: a
+    // Range check on the decoded references into the dataset: a
     // CRC-valid payload from a buggy or version-skewed writer must be
     // rejected here, not panic with an out-of-bounds index inside a
     // query worker.
@@ -339,18 +328,7 @@ fn read_index_with_hash(bytes: &[u8], dataset: &Dataset, dataset_hash: u64) -> R
             )));
         }
     }
-    for (i, tr) in dataset.trajectories().iter().enumerate() {
-        if let Some(max_pos) = apl.trajectory(i).max_position() {
-            if max_pos as usize >= tr.len() {
-                return Err(inconsistent(format!(
-                    "APL of trajectory {i} references point {max_pos}, \
-                     the trajectory has {} points",
-                    tr.len()
-                )));
-            }
-        }
-    }
-    Ok(GatIndex::from_parts(config, grid, itl, tas, apl))
+    Ok(GatIndex::from_parts(config, grid, itl, dataset))
 }
 
 // ---------------------------------------------------------------------
@@ -734,7 +712,7 @@ mod tests {
         bytes[8..10].copy_from_slice(&99u16.to_le_bytes());
         let err = read_index(&bytes, &d).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 2"),
+            err.contains("version 99") && err.contains("reads version 3"),
             "{err}"
         );
     }
@@ -754,22 +732,16 @@ mod tests {
         assert!(err.contains("kind mismatch"), "{err}");
     }
 
-    /// A CRC-valid snapshot whose components reference outside the
-    /// dataset (possible from a buggy or version-skewed writer, never
-    /// from this one) must be rejected at load, not panic inside a
-    /// query worker.
+    /// A CRC-valid snapshot whose ITL references outside the dataset
+    /// (possible from a buggy or version-skewed writer, never from this
+    /// one) must be rejected at load, not panic inside a query worker.
     #[test]
     fn out_of_range_references_are_rejected_at_load() {
         use atsq_grid::CellId;
-        use atsq_types::{ActivityId, Trajectory, TrajectoryId};
+        use atsq_types::{ActivityId, TrajectoryId};
         let d = dataset(5, 11);
         let built = GatIndex::build_with(&d, small_config()).unwrap();
         let leaf_level = small_config().grid_level;
-        let grid = built.grid().clone();
-        let tas = crate::tas::Tas::build(
-            d.trajectories().iter().map(|tr| tr.all_activities()),
-            small_config().tas_intervals,
-        );
 
         // ITL posting pointing at trajectory 99 of a 5-trajectory set.
         let evil_itl = Itl::build(
@@ -783,39 +755,11 @@ mod tests {
                 TrajectoryId(99),
             )],
         );
-        let index = GatIndex::from_parts(
-            small_config(),
-            grid.clone(),
-            evil_itl,
-            tas.clone(),
-            Apl::build(d.trajectories()),
-        );
+        let index = GatIndex::from_parts(small_config(), built.grid().clone(), evil_itl, &d);
         let err = read_index(&write_index(&index, &d), &d)
             .unwrap_err()
             .to_string();
         assert!(err.contains("ITL references trajectory 99"), "{err}");
-
-        // APL posting pointing past the end of its trajectory.
-        let mut long = d.trajectories().to_vec();
-        let mut points = long[0].points.clone();
-        for _ in 0..8 {
-            points.push(points[0].clone());
-        }
-        long[0] = Trajectory::new(TrajectoryId(0), points);
-        let index = GatIndex::from_parts(
-            small_config(),
-            grid,
-            Itl::build(leaf_level, vec![]),
-            tas,
-            Apl::build(&long),
-        );
-        let err = read_index(&write_index(&index, &d), &d)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("APL of trajectory 0 references point"),
-            "{err}"
-        );
     }
 
     #[test]

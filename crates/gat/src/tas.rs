@@ -21,28 +21,32 @@ pub struct Sketch {
 }
 
 impl Sketch {
-    /// Builds the optimal `m`-interval sketch of `activities`.
+    /// Builds the optimal `m`-interval sketch of `ids`, which must be
+    /// strictly ascending, as [`ActivitySet::ids`] and an APL key run
+    /// are.
     ///
     /// With fewer than `m` distinct ids the sketch is exact (one
-    /// degenerate interval per id). An empty activity set produces an
+    /// degenerate interval per id). An empty id list produces an
     /// empty sketch that contains nothing.
-    pub fn build(activities: &ActivitySet, m: usize) -> Self {
+    ///
+    /// # Panics
+    /// If `m` is 0 or `ids` does not strictly ascend.
+    pub fn build(ids: &[ActivityId], m: usize) -> Self {
         assert!(m >= 1, "sketch needs at least one interval");
-        let ids: Vec<u32> = activities.iter().map(|a| a.0).collect();
-        if ids.is_empty() {
-            return Sketch::default();
-        }
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "sketch ids must strictly ascend"
+        );
         if ids.len() <= m {
             return Sketch {
-                intervals: ids.iter().map(|&i| (i, i)).collect(),
+                intervals: ids.iter().map(|a| (a.0, a.0)).collect(),
             };
         }
-        // ids are ascending (ActivitySet invariant). Find the m-1
-        // largest gaps between consecutive ids; split there.
+        // Find the m-1 largest gaps between consecutive ids; split there.
         let mut gaps: Vec<(u32, usize)> = ids
             .windows(2)
             .enumerate()
-            .map(|(i, w)| (w[1] - w[0], i))
+            .map(|(i, w)| (w[1].0 - w[0].0, i))
             .collect();
         gaps.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut split_after: Vec<usize> = gaps[..m - 1].iter().map(|&(_, i)| i).collect();
@@ -51,10 +55,10 @@ impl Sketch {
         let mut intervals = Vec::with_capacity(m);
         let mut start = 0usize;
         for &cut in &split_after {
-            intervals.push((ids[start], ids[cut]));
+            intervals.push((ids[start].0, ids[cut].0));
             start = cut + 1;
         }
-        intervals.push((ids[start], ids[ids.len() - 1]));
+        intervals.push((ids[start].0, ids[ids.len() - 1].0));
         Sketch { intervals }
     }
 
@@ -110,12 +114,16 @@ pub struct Tas {
 }
 
 impl Tas {
-    /// Builds sketches for every trajectory's activity union.
-    pub fn build(per_trajectory: impl IntoIterator<Item = ActivitySet>, m: usize) -> Self {
+    /// Builds one sketch per trajectory from its distinct activity ids
+    /// (strictly ascending, as an APL key run lists them).
+    pub(crate) fn build<'a>(
+        per_trajectory: impl IntoIterator<Item = &'a [ActivityId]>,
+        m: usize,
+    ) -> Self {
         Tas {
             sketches: per_trajectory
                 .into_iter()
-                .map(|acts| Sketch::build(&acts, m))
+                .map(|ids| Sketch::build(ids, m))
                 .collect(),
         }
     }
@@ -140,44 +148,6 @@ impl Tas {
     pub fn memory_bytes(&self) -> usize {
         self.sketches.iter().map(Sketch::memory_bytes).sum()
     }
-
-    /// Serializes the table. Each sketch's intervals flatten to one
-    /// non-decreasing `[lo1, hi1, lo2, hi2, ...]` run (intervals are
-    /// disjoint and ascending), which delta-codes tightly.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        use atsq_storage::codec::{put_ascending, put_varint};
-        put_varint(out, self.sketches.len() as u32);
-        for s in &self.sketches {
-            let flat: Vec<u32> = s.intervals.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-            put_ascending(out, &flat);
-        }
-    }
-
-    /// Decodes [`Tas::encode`] output from `buf[*pos..]`, advancing
-    /// `pos`. `None` on truncation or malformed intervals (odd flat
-    /// length, overlapping intervals).
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        use atsq_storage::codec::{get_ascending, get_varint};
-        let n = get_varint(buf, pos)? as usize;
-        if n > buf.len().saturating_sub(*pos) {
-            return None; // each sketch costs at least one byte
-        }
-        let mut sketches = Vec::with_capacity(n);
-        for _ in 0..n {
-            let flat = get_ascending(buf, pos)?;
-            if flat.len() % 2 != 0 {
-                return None;
-            }
-            let intervals: Vec<(u32, u32)> = flat.chunks(2).map(|c| (c[0], c[1])).collect();
-            // Ascending flat run guarantees lo ≤ hi; disjointness needs
-            // the strict step between hi and the next lo.
-            if intervals.windows(2).any(|w| w[0].1 >= w[1].0) {
-                return None;
-            }
-            sketches.push(Sketch { intervals });
-        }
-        Some(Tas { sketches })
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +155,7 @@ mod tests {
     use super::*;
 
     fn sketch(ids: &[u32], m: usize) -> Sketch {
-        Sketch::build(&ActivitySet::from_raw(ids.iter().copied()), m)
+        Sketch::build(ActivitySet::from_raw(ids.iter().copied()).ids(), m)
     }
 
     #[test]
@@ -221,7 +191,7 @@ mod tests {
         let ids = [2u32, 7, 8, 30, 31, 90];
         let acts = ActivitySet::from_raw(ids);
         for m in 1..=6 {
-            let s = Sketch::build(&acts, m);
+            let s = Sketch::build(acts.ids(), m);
             for &id in &ids {
                 assert!(s.contains(ActivityId(id)), "m={m} dropped {id}");
             }
@@ -232,7 +202,7 @@ mod tests {
     fn false_positives_shrink_with_more_intervals() {
         let acts = ActivitySet::from_raw([0u32, 1, 50, 51, 100, 101]);
         let widths: Vec<u64> = (1..=6)
-            .map(|m| Sketch::build(&acts, m).total_width())
+            .map(|m| Sketch::build(acts.ids(), m).total_width())
             .collect();
         assert!(widths.windows(2).all(|w| w[0] >= w[1]), "{widths:?}");
         assert_eq!(widths[0], 101); // one interval [0,101]
@@ -251,7 +221,7 @@ mod tests {
 
     #[test]
     fn empty_sketch_contains_nothing() {
-        let s = Sketch::build(&ActivitySet::new(), 4);
+        let s = Sketch::build(&[], 4);
         assert!(!s.contains(ActivityId(0)));
         assert!(s.covers(&ActivitySet::new()));
         assert!(!s.covers(&ActivitySet::from_raw([1])));
@@ -259,53 +229,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "strictly ascend")]
+    fn unsorted_ids_are_refused() {
+        Sketch::build(&[ActivityId(5), ActivityId(2), ActivityId(9)], 2);
+    }
+
+    #[test]
     fn tas_table() {
-        let t = Tas::build(
-            vec![
-                ActivitySet::from_raw([1, 2]),
-                ActivitySet::from_raw([5, 90]),
-            ],
-            2,
-        );
+        let runs = [
+            ActivitySet::from_raw([1, 2]),
+            ActivitySet::from_raw([5, 90]),
+        ];
+        let t = Tas::build(runs.iter().map(ActivitySet::ids), 2);
         assert_eq!(t.len(), 2);
         assert!(t.sketch(0).covers(&ActivitySet::from_raw([1])));
         assert!(!t.sketch(1).covers(&ActivitySet::from_raw([1])));
         assert_eq!(t.memory_bytes(), 2 * 2 * 8);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let t = Tas::build(
-            vec![
-                ActivitySet::from_raw([1, 2, 3, 50, 51, 100]),
-                ActivitySet::new(),
-                ActivitySet::from_raw([7]),
-            ],
-            3,
-        );
-        let mut buf = Vec::new();
-        t.encode(&mut buf);
-        let mut pos = 0;
-        let q = Tas::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
-        assert_eq!(q.len(), t.len());
-        for i in 0..t.len() {
-            assert_eq!(t.sketch(i), q.sketch(i));
-        }
-        // Truncation fails cleanly at every prefix.
-        for cut in 0..buf.len() {
-            assert!(Tas::decode(&buf[..cut], &mut 0).is_none(), "cut={cut}");
-        }
-        // Overlapping intervals (hi ≥ next lo) are rejected: [1,5],[5,9].
-        let mut bad = Vec::new();
-        atsq_storage::codec::put_varint(&mut bad, 1);
-        atsq_storage::codec::put_ascending(&mut bad, &[1, 5, 5, 9]);
-        assert!(Tas::decode(&bad, &mut 0).is_none());
-        // Odd flat length is rejected.
-        let mut odd = Vec::new();
-        atsq_storage::codec::put_varint(&mut odd, 1);
-        atsq_storage::codec::put_ascending(&mut odd, &[1, 5, 9]);
-        assert!(Tas::decode(&odd, &mut 0).is_none());
     }
 
     /// The paper's optimality claim: splitting at the largest gaps
@@ -315,7 +254,7 @@ mod tests {
         let ids = [0u32, 3, 4, 9, 11, 20, 22];
         let acts = ActivitySet::from_raw(ids);
         for m in 1..=4usize {
-            let fast = Sketch::build(&acts, m).total_width();
+            let fast = Sketch::build(acts.ids(), m).total_width();
             // Exhaustive: choose m-1 split positions among 6 gaps.
             let mut best = u64::MAX;
             let gaps = 6usize;

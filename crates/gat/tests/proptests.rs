@@ -21,7 +21,7 @@ proptest! {
     /// TAS never dismisses an id the trajectory contains, under any M.
     #[test]
     fn sketch_has_no_false_dismissals(acts in arb_acts(500, 20), m in 1usize..8) {
-        let s = Sketch::build(&acts, m);
+        let s = Sketch::build(acts.ids(), m);
         for id in acts.iter() {
             prop_assert!(s.contains(id));
         }
@@ -33,7 +33,7 @@ proptest! {
     /// against all split choices on small inputs).
     #[test]
     fn sketch_partition_is_optimal(acts in arb_acts(200, 9), m in 1usize..5) {
-        let fast = Sketch::build(&acts, m).total_width();
+        let fast = Sketch::build(acts.ids(), m).total_width();
         let ids: Vec<u32> = acts.iter().map(|a| a.0).collect();
         if ids.len() <= m {
             prop_assert_eq!(fast, 0);
@@ -62,7 +62,7 @@ proptest! {
     /// Sketch intervals are disjoint and ascending.
     #[test]
     fn sketch_intervals_well_formed(acts in arb_acts(300, 15), m in 1usize..6) {
-        let s = Sketch::build(&acts, m);
+        let s = Sketch::build(acts.ids(), m);
         let iv = s.intervals();
         prop_assert!(iv.iter().all(|&(lo, hi)| lo <= hi));
         prop_assert!(iv.windows(2).all(|w| w[0].1 < w[1].0));
@@ -156,31 +156,65 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Posting-list blobs roundtrip through the byte codec for
-    /// arbitrary trajectories.
+    /// The APL's flat columns, derived from a dataset with empty
+    /// trajectories and points that carry no activity, answer exactly
+    /// what a scan of the points does, and each TAS sketch built from a
+    /// trajectory's APL keys is the sketch of its activity union.
     #[test]
-    fn postings_codec_roundtrips(
-        points in prop::collection::vec(
-            (0.0f64..10.0, prop::collection::vec(0u32..50, 0..4)),
-            1..10,
+    fn flat_apl_equals_point_scan(
+        trajectories in prop::collection::vec(
+            prop::collection::vec(
+                (0.0f64..10.0, prop::collection::vec(0u32..12, 0..4)),
+                0..8,
+            ),
+            1..8,
         ),
+        wanted in prop::collection::vec(0u32..12, 0..4),
+        m in 1usize..5,
     ) {
-        use atsq_gat::apl::TrajectoryPostings;
-        use atsq_types::TrajectoryId;
-        let tr = atsq_types::Trajectory::new(
-            TrajectoryId(0),
-            points
-                .into_iter()
-                .map(|(x, acts)| {
-                    TrajectoryPoint::new(Point::new(x, 0.0), ActivitySet::from_raw(acts))
-                })
-                .collect(),
-        );
-        let p = TrajectoryPostings::build(&tr);
-        let q = TrajectoryPostings::from_bytes(&p.to_bytes()).expect("decodes");
-        for a in 0..50u32 {
-            let a = atsq_types::ActivityId(a);
-            prop_assert_eq!(p.postings(a), q.postings(a));
+        use atsq_types::ActivityId;
+        let mut b = DatasetBuilder::new().without_frequency_ranking();
+        for i in 0..12 {
+            b.observe_activity(&format!("a{i}"));
+        }
+        for points in trajectories {
+            b.push_trajectory(
+                points
+                    .into_iter()
+                    .map(|(x, acts)| {
+                        TrajectoryPoint::new(Point::new(x, x), ActivitySet::from_raw(acts))
+                    })
+                    .collect(),
+            );
+        }
+        let d = b.finish().expect("valid dataset");
+        let config = GatConfig {
+            grid_level: 3,
+            memory_level: 2,
+            tas_intervals: m,
+            ..GatConfig::default()
+        };
+        let idx = GatIndex::build_with(&d, config).expect("index builds");
+        let wanted = ActivitySet::from_raw(wanted);
+        let carrying = |tr: &atsq_types::Trajectory, acts: &ActivitySet| -> Vec<u32> {
+            (0..tr.len() as u32)
+                .filter(|&i| tr.points[i as usize].activities.intersects(acts))
+                .collect()
+        };
+        let mut union = Vec::new();
+        for tr in d.trajectories() {
+            let postings = idx.postings(tr.id.index());
+            let all = tr.all_activities();
+            for a in (0..12).map(ActivityId) {
+                let single = ActivitySet::from_ids([a]);
+                prop_assert_eq!(postings.postings(a), &carrying(tr, &single)[..]);
+                prop_assert_eq!(postings.contains_all(&single), all.contains(a));
+            }
+            prop_assert!(postings.contains_all(&all));
+            prop_assert_eq!(postings.contains_all(&wanted), wanted.is_subset_of(&all));
+            postings.candidate_indexes_into(&wanted, &mut union);
+            prop_assert_eq!(&union, &carrying(tr, &wanted));
+            prop_assert_eq!(idx.tas().sketch(tr.id.index()), &Sketch::build(all.ids(), m));
         }
     }
 }

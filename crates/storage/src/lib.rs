@@ -1,7 +1,7 @@
 //! `atsq-storage` — the byte-level encodings of the index snapshots.
 //!
-//! Every GAT component serializes itself through [`codec`] (varints and
-//! delta-coded ascending runs), and a snapshot's payload is guarded by
+//! The snapshot's configuration and ITL columns serialize through
+//! [`codec`] (`u64` varints), and a snapshot's payload is guarded by
 //! [`crc32`].
 
 #![warn(missing_docs)]

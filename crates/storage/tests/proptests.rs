@@ -1,32 +1,21 @@
 //! Property tests for the snapshot codecs: arbitrary values roundtrip,
-//! and arbitrary bytes never panic the decoders.
+//! and arbitrary bytes never panic the decoder.
 
 use atsq_storage::codec;
 use proptest::prelude::*;
 
 proptest! {
-    /// Varint roundtrip over arbitrary u32 values and buffers.
+    /// Varint roundtrip over arbitrary u64 values and buffers.
     #[test]
-    fn varint_roundtrip(values in prop::collection::vec(any::<u32>(), 0..50)) {
+    fn varint_roundtrip(values in prop::collection::vec(any::<u64>(), 0..50)) {
         let mut buf = Vec::new();
         for &v in &values {
-            codec::put_varint(&mut buf, v);
+            codec::put_varint_u64(&mut buf, v);
         }
         let mut pos = 0;
         for &v in &values {
-            prop_assert_eq!(codec::get_varint(&buf, &mut pos), Some(v));
+            prop_assert_eq!(codec::get_varint_u64(&buf, &mut pos), Some(v));
         }
-        prop_assert_eq!(pos, buf.len());
-    }
-
-    /// Delta-coded ascending sequences roundtrip.
-    #[test]
-    fn ascending_roundtrip(mut values in prop::collection::vec(0u32..u32::MAX / 2, 0..200)) {
-        values.sort_unstable();
-        let mut buf = Vec::new();
-        codec::put_ascending(&mut buf, &values);
-        let mut pos = 0;
-        prop_assert_eq!(codec::get_ascending(&buf, &mut pos), Some(values));
         prop_assert_eq!(pos, buf.len());
     }
 
@@ -35,10 +24,7 @@ proptest! {
     #[test]
     fn codec_never_panics_on_garbage(buf in prop::collection::vec(any::<u8>(), 0..100)) {
         let mut pos = 0;
-        let _ = codec::get_varint(&buf, &mut pos);
-        prop_assert!(pos <= buf.len());
-        let mut pos = 0;
-        let _ = codec::get_ascending(&buf, &mut pos);
+        let _ = codec::get_varint_u64(&buf, &mut pos);
         prop_assert!(pos <= buf.len());
     }
 }
