@@ -8,8 +8,10 @@
 //! all — the paper's running times show it flat in `k` and `δ(Q)` but
 //! badly beaten by every spatial method.
 
-use crate::common::{evaluate_atsq, evaluate_oatsq, TopK};
-use atsq_types::{rank_top_k, ActivityId, Dataset, Query, QueryResult, TrajectoryId};
+use atsq_matching::candidate_distance;
+use atsq_types::{
+    ActivityId, Dataset, Goal, Query, QueryEngine, QueryKind, QueryResult, Sink, TrajectoryId,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,64 +81,45 @@ impl IlEngine {
     }
 
     /// ATSQ by exhaustive evaluation of the activity-filtered
-    /// candidates.
+    /// candidates ([`QueryEngine::atsq`], callable without the trait).
     pub fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        let mut results = Vec::new();
-        for tr in self.candidates(query) {
-            // ordering: Relaxed — independent monotone tally.
-            self.fetches.fetch_add(1, Ordering::Relaxed);
-            if let Some(d) = evaluate_atsq(dataset, query, tr) {
-                results.push(QueryResult::new(tr, d));
-            }
-        }
-        rank_top_k(results, k)
+        self.search(dataset, query, QueryKind::Atsq, Goal::TopK(k))
     }
 
-    /// Range ATSQ: every candidate with `Dmm ≤ tau`, ascending.
-    pub fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        let mut results = Vec::new();
-        for tr in self.candidates(query) {
-            // ordering: Relaxed — independent monotone tally.
-            self.fetches.fetch_add(1, Ordering::Relaxed);
-            if let Some(d) = evaluate_atsq(dataset, query, tr) {
-                if d <= tau {
-                    results.push(QueryResult::new(tr, d));
-                }
-            }
-        }
-        rank_top_k(results, usize::MAX)
-    }
-
-    /// Range OATSQ: every candidate with `Dmom ≤ tau`, ascending.
-    pub fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        let mut results = Vec::new();
-        for tr in self.candidates(query) {
-            // ordering: Relaxed — independent monotone tally.
-            self.fetches.fetch_add(1, Ordering::Relaxed);
-            if let Some(d) = evaluate_oatsq(dataset, query, tr, tau) {
-                if d <= tau {
-                    results.push(QueryResult::new(tr, d));
-                }
-            }
-        }
-        rank_top_k(results, usize::MAX)
-    }
-
-    /// OATSQ by exhaustive evaluation with the running `Dkmom`
-    /// threshold feeding Algorithm 4's early exit.
+    /// OATSQ by exhaustive evaluation ([`QueryEngine::oatsq`], callable
+    /// without the trait).
     pub fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        let mut top = TopK::new(k.max(1));
-        if k == 0 {
+        self.search(dataset, query, QueryKind::Oatsq, Goal::TopK(k))
+    }
+}
+
+impl QueryEngine for IlEngine {
+    /// Evaluates every activity-filtered candidate in list order, with
+    /// the running cutoff feeding Algorithm 4's early exit for OATSQ.
+    fn search(
+        &self,
+        dataset: &Dataset,
+        query: &Query,
+        kind: QueryKind,
+        goal: Goal,
+    ) -> Vec<QueryResult> {
+        if goal.wants_nothing() {
             return Vec::new();
         }
+        let mut sink = Sink::new(goal, dataset.len());
         for tr in self.candidates(query) {
             // ordering: Relaxed — independent monotone tally.
             self.fetches.fetch_add(1, Ordering::Relaxed);
-            if let Some(d) = evaluate_oatsq(dataset, query, tr, top.kth()) {
-                top.offer(d, tr);
+            let points = &dataset.trajectory(tr).points;
+            if let Some(d) = candidate_distance(kind, query, points, sink.cutoff()) {
+                sink.offer(d, tr);
             }
         }
-        rank_top_k(top.into_results(), k)
+        sink.finish()
+    }
+
+    fn name(&self) -> &'static str {
+        "IL"
     }
 }
 

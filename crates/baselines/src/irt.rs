@@ -9,7 +9,8 @@
 use crate::common::{venues, Venue};
 use crate::rt::run_incremental;
 use atsq_irtree::IrTree;
-use atsq_types::{Dataset, Query, QueryResult};
+use atsq_matching::candidate_distance;
+use atsq_types::{Dataset, Goal, Query, QueryEngine, QueryKind, QueryResult, TrajectoryId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The IR-tree baseline engine.
@@ -49,27 +50,21 @@ impl IrtEngine {
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
     }
+}
 
-    /// ATSQ with activity-pruned incremental search.
-    pub fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        self.search(dataset, query, k, false)
-    }
-
-    /// OATSQ with activity-pruned incremental search.
-    pub fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        self.search(dataset, query, k, true)
-    }
-
+impl QueryEngine for IrtEngine {
+    /// The RT engine's incremental search, with each query point's
+    /// iterator skipping subtrees that hold none of its activities.
     fn search(
         &self,
         dataset: &Dataset,
         query: &Query,
-        k: usize,
-        ordered: bool,
+        kind: QueryKind,
+        goal: Goal,
     ) -> Vec<QueryResult> {
-        if k == 0 || dataset.is_empty() {
-            return Vec::new();
-        }
+        let distance = |tr: TrajectoryId, dk: f64| {
+            candidate_distance(kind, query, &dataset.trajectory(tr).points, dk)
+        };
         let iters: Vec<_> = query
             .points
             .iter()
@@ -77,49 +72,16 @@ impl IrtEngine {
             .collect();
         run_incremental(
             dataset,
-            query,
-            k,
-            ordered,
+            goal,
             iters,
             |it| it.peek_dist(),
             &self.fetches,
+            distance,
         )
     }
 
-    /// Range ATSQ with activity-pruned traversal.
-    pub fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        let iters: Vec<_> = query
-            .points
-            .iter()
-            .map(|q| self.tree.nearest_with_any_activity(q.loc, &q.activities))
-            .collect();
-        crate::rt::run_incremental_range(
-            dataset,
-            query,
-            tau,
-            false,
-            iters,
-            |it| it.peek_dist(),
-            &self.fetches,
-        )
-    }
-
-    /// Range OATSQ with activity-pruned traversal.
-    pub fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        let iters: Vec<_> = query
-            .points
-            .iter()
-            .map(|q| self.tree.nearest_with_any_activity(q.loc, &q.activities))
-            .collect();
-        crate::rt::run_incremental_range(
-            dataset,
-            query,
-            tau,
-            true,
-            iters,
-            |it| it.peek_dist(),
-            &self.fetches,
-        )
+    fn name(&self) -> &'static str {
+        "IRT"
     }
 }
 

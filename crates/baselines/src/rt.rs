@@ -9,9 +9,10 @@
 //! trajectory, and Lemma 2 (`Dbm ≤ Dmm`) plus Lemma 3 (`Dmm ≤ Dmom`)
 //! turn that into the termination test for both query types.
 
-use crate::common::{evaluate_atsq, evaluate_oatsq, venues, TopK, Venue};
+use crate::common::{venues, Venue};
+use atsq_matching::{best_match_distance, candidate_distance};
 use atsq_rtree::{NearestIter, RTree};
-use atsq_types::{rank_top_k, Dataset, Query, QueryResult, TrajectoryId};
+use atsq_types::{Dataset, Goal, Query, QueryEngine, QueryKind, QueryResult, Sink, TrajectoryId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The R-tree baseline engine.
@@ -52,40 +53,13 @@ impl RtEngine {
         self.tree.is_empty()
     }
 
-    /// ATSQ via incremental best-match search.
-    pub fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        self.search(dataset, query, k, false)
-    }
-
-    /// OATSQ via the same retrieval with order-sensitive evaluation.
-    pub fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        self.search(dataset, query, k, true)
-    }
-
-    fn search(
-        &self,
-        dataset: &Dataset,
-        query: &Query,
-        k: usize,
-        ordered: bool,
-    ) -> Vec<QueryResult> {
-        if k == 0 || dataset.is_empty() {
-            return Vec::new();
-        }
-        let iters: Vec<NearestIter<'_, Venue, ()>> = query
+    /// One incremental nearest-venue iterator per query point.
+    fn iters(&self, query: &Query) -> Vec<NearestIter<'_, Venue, ()>> {
+        query
             .points
             .iter()
             .map(|q| self.tree.nearest_iter(q.loc))
-            .collect();
-        run_incremental(
-            dataset,
-            query,
-            k,
-            ordered,
-            iters,
-            |it| it.peek_dist(),
-            &self.fetches,
-        )
+            .collect()
     }
 
     /// The k-BCT query of Chen et al. \[20\]: top-`k` by the purely
@@ -93,171 +67,73 @@ impl RtEngine {
     /// query the paper's Fig. 1 shows failing for activity planning —
     /// provided for comparison studies.
     pub fn kbct(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        if k == 0 || dataset.is_empty() {
-            return Vec::new();
-        }
-        let mut iters: Vec<NearestIter<'_, Venue, ()>> = query
-            .points
-            .iter()
-            .map(|q| self.tree.nearest_iter(q.loc))
-            .collect();
-        let mut top = TopK::new(k);
-        let mut seen = vec![false; dataset.len()];
-        loop {
-            let mut frontier_sum = 0.0f64;
-            let mut best_idx: Option<(usize, f64)> = None;
-            for (i, it) in iters.iter().enumerate() {
-                match it.peek_dist() {
-                    Some(d) => {
-                        frontier_sum += d;
-                        if best_idx.is_none_or(|(_, bd)| d < bd) {
-                            best_idx = Some((i, d));
-                        }
-                    }
-                    None => frontier_sum = f64::INFINITY,
-                }
-            }
-            if top.kth() < frontier_sum {
-                break;
-            }
-            let Some((idx, _)) = best_idx else { break };
-            let Some(neighbor) = iters[idx].next() else {
-                break;
-            };
-            let tr = neighbor.data.trajectory;
-            if seen[tr.index()] {
-                continue;
-            }
-            seen[tr.index()] = true;
-            // ordering: Relaxed — independent monotone tally.
-            self.fetches.fetch_add(1, Ordering::Relaxed);
-            let d = atsq_matching::best_match_distance(query, &dataset.trajectory(tr).points);
-            if d.is_finite() {
-                top.offer(d, tr);
-            }
-        }
-        rank_top_k(top.into_results(), k)
-    }
-
-    /// Range ATSQ: every trajectory with `Dmm ≤ tau`, ascending.
-    pub fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        let iters: Vec<NearestIter<'_, Venue, ()>> = query
-            .points
-            .iter()
-            .map(|q| self.tree.nearest_iter(q.loc))
-            .collect();
-        run_incremental_range(
+        let dbm = |tr: TrajectoryId, _dk: f64| {
+            let d = best_match_distance(query, &dataset.trajectory(tr).points);
+            d.is_finite().then_some(d)
+        };
+        let iters = self.iters(query);
+        run_incremental(
             dataset,
-            query,
-            tau,
-            false,
+            Goal::TopK(k),
             iters,
-            |it| it.peek_dist(),
+            NearestIter::peek_dist,
             &self.fetches,
-        )
-    }
-
-    /// Range OATSQ: every trajectory with `Dmom ≤ tau`, ascending.
-    pub fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        let iters: Vec<NearestIter<'_, Venue, ()>> = query
-            .points
-            .iter()
-            .map(|q| self.tree.nearest_iter(q.loc))
-            .collect();
-        run_incremental_range(
-            dataset,
-            query,
-            tau,
-            true,
-            iters,
-            |it| it.peek_dist(),
-            &self.fetches,
+            dbm,
         )
     }
 }
 
-/// Range version of the incremental loop: terminates once the frontier
-/// lower bound exceeds `tau` (Lemma 2 again) instead of tracking a
-/// k-th best.
-pub(crate) fn run_incremental_range<'a, I>(
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-    ordered: bool,
-    mut iters: Vec<I>,
-    peek: impl Fn(&I) -> Option<f64>,
-    fetches: &AtomicU64,
-) -> Vec<QueryResult>
-where
-    I: Iterator<Item = atsq_rtree::nn::Neighbor<'a, Venue>>,
-{
-    let mut out = Vec::new();
-    if dataset.is_empty() || tau < 0.0 {
-        return out;
-    }
-    let mut seen = vec![false; dataset.len()];
-    loop {
-        let mut frontier_sum = 0.0f64;
-        let mut best_idx: Option<(usize, f64)> = None;
-        for (i, it) in iters.iter().enumerate() {
-            match peek(it) {
-                Some(d) => {
-                    frontier_sum += d;
-                    if best_idx.is_none_or(|(_, bd)| d < bd) {
-                        best_idx = Some((i, d));
-                    }
-                }
-                None => frontier_sum = f64::INFINITY,
-            }
-        }
-        if frontier_sum > tau {
-            break;
-        }
-        let Some((idx, _)) = best_idx else { break };
-        let Some(neighbor) = iters[idx].next() else {
-            break;
+impl QueryEngine for RtEngine {
+    fn search(
+        &self,
+        dataset: &Dataset,
+        query: &Query,
+        kind: QueryKind,
+        goal: Goal,
+    ) -> Vec<QueryResult> {
+        let distance = |tr: TrajectoryId, dk: f64| {
+            candidate_distance(kind, query, &dataset.trajectory(tr).points, dk)
         };
-        let tr: TrajectoryId = neighbor.data.trajectory;
-        if seen[tr.index()] {
-            continue;
-        }
-        seen[tr.index()] = true;
-        // ordering: Relaxed — independent monotone tally.
-        fetches.fetch_add(1, Ordering::Relaxed);
-        let dist = if ordered {
-            evaluate_oatsq(dataset, query, tr, tau)
-        } else {
-            evaluate_atsq(dataset, query, tr)
-        };
-        if let Some(d) = dist {
-            if d <= tau {
-                out.push(QueryResult::new(tr, d));
-            }
-        }
+        let iters = self.iters(query);
+        run_incremental(
+            dataset,
+            goal,
+            iters,
+            NearestIter::peek_dist,
+            &self.fetches,
+            distance,
+        )
     }
-    rank_top_k(out, usize::MAX)
+
+    fn name(&self) -> &'static str {
+        "RT"
+    }
 }
 
-/// The shared incremental loop, generic over the per-query-point
-/// iterator type so the IR-tree engine reuses it verbatim.
+/// The one incremental loop of the RT and IR-tree engines, for every
+/// query kind and goal and for k-BCT: generic over the per-query-point
+/// iterator type, and taking the candidate distance — called with the
+/// sink's live cutoff as the early-exit threshold — as an argument.
 ///
 /// `peek` returns a lower bound on the next yield of an iterator (the
-/// R-tree heap head); `None` means exhausted, which contributes an
+/// tree's heap head); `None` means exhausted, which contributes an
 /// infinite frontier term (no undiscovered trajectory can serve that
 /// query point any more).
 pub(crate) fn run_incremental<'a, I>(
     dataset: &Dataset,
-    query: &Query,
-    k: usize,
-    ordered: bool,
+    goal: Goal,
     mut iters: Vec<I>,
     peek: impl Fn(&I) -> Option<f64>,
     fetches: &AtomicU64,
+    distance: impl Fn(TrajectoryId, f64) -> Option<f64>,
 ) -> Vec<QueryResult>
 where
     I: Iterator<Item = atsq_rtree::nn::Neighbor<'a, Venue>>,
 {
-    let mut top = TopK::new(k);
+    if goal.wants_nothing() || dataset.is_empty() {
+        return Vec::new();
+    }
+    let mut sink = Sink::new(goal, dataset.len());
     let mut seen = vec![false; dataset.len()];
 
     loop {
@@ -277,11 +153,12 @@ where
             }
         }
 
-        // Lemma-2 termination: the k-th best strictly beats every
-        // undiscovered trajectory's lower bound. Strict comparison
-        // matters for determinism: distance ties must all be
-        // discovered so every engine breaks them by trajectory id.
-        if top.kth() < frontier_sum {
+        // Lemma-2 termination: the cutoff (k-th best or radius)
+        // strictly beats every undiscovered trajectory's lower bound.
+        // Strict comparison matters for determinism: distance ties
+        // must all be discovered so every engine breaks them by
+        // trajectory id.
+        if sink.cutoff() < frontier_sum {
             break;
         }
         let Some((idx, _)) = best_idx else { break };
@@ -295,16 +172,11 @@ where
         seen[tr.index()] = true;
         // ordering: Relaxed — independent monotone tally.
         fetches.fetch_add(1, Ordering::Relaxed);
-        let dist = if ordered {
-            evaluate_oatsq(dataset, query, tr, top.kth())
-        } else {
-            evaluate_atsq(dataset, query, tr)
-        };
-        if let Some(d) = dist {
-            top.offer(d, tr);
+        if let Some(d) = distance(tr, sink.cutoff()) {
+            sink.offer(d, tr);
         }
     }
-    rank_top_k(top.into_results(), k)
+    sink.finish()
 }
 
 #[cfg(test)]

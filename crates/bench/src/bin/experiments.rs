@@ -13,7 +13,7 @@
 //! `--scale 1.0 --queries 50` (expect a long run).
 
 use atsq_bench::{cities, print_table, time_engine, workload, Setting};
-use atsq_core::{Engine, GatEngine, Profiled, QueryEngine};
+use atsq_core::{Engine, GatEngine, Goal, Profiled, QueryEngine, QueryKind};
 use atsq_datagen::{generate, CityConfig};
 use atsq_gat::GatConfig;
 use atsq_types::Dataset;
@@ -104,6 +104,9 @@ fn value<T: FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Res
 
 const ENGINE_NAMES: [&str; 4] = ["IL", "RT", "IRT", "GAT"];
 
+/// Both query kinds, with their table labels.
+const KINDS: [(QueryKind, &str); 2] = [(QueryKind::Atsq, "ATSQ"), (QueryKind::Oatsq, "OATSQ")];
+
 /// Runs one sweep: for each x value, rebuild the workload and time all
 /// four engines; returns one row of average latencies per x value.
 fn sweep(
@@ -111,7 +114,7 @@ fn sweep(
     engines: &[Engine],
     settings: &[(String, Setting)],
     queries: usize,
-    ordered: bool,
+    kind: QueryKind,
     seed: u64,
 ) -> Vec<Vec<Duration>> {
     settings
@@ -120,7 +123,7 @@ fn sweep(
             let w = workload(dataset, s, queries, seed);
             engines
                 .iter()
-                .map(|e| time_engine(e, dataset, &w, s.k, ordered))
+                .map(|e| time_engine(e, dataset, &w, s.k, kind))
                 .collect()
         })
         .collect()
@@ -142,8 +145,8 @@ fn fig3(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
         .collect();
     let xs: Vec<String> = settings.iter().map(|(x, _)| x.clone()).collect();
     for (name, dataset, engines) in data {
-        for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
-            let rows = sweep(dataset, engines, &settings, queries, ordered, 0x3a);
+        for (kind, label) in KINDS {
+            let rows = sweep(dataset, engines, &settings, queries, kind, 0x3a);
             print_table(
                 &format!("Fig 3 — effect of k ({label} on {name})"),
                 "k",
@@ -171,8 +174,8 @@ fn fig4(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
         .collect();
     let xs: Vec<String> = settings.iter().map(|(x, _)| x.clone()).collect();
     for (name, dataset, engines) in data {
-        for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
-            let rows = sweep(dataset, engines, &settings, queries, ordered, 0x4a);
+        for (kind, label) in KINDS {
+            let rows = sweep(dataset, engines, &settings, queries, kind, 0x4a);
             print_table(
                 &format!("Fig 4 — effect of |Q| ({label} on {name})"),
                 "|Q|",
@@ -200,8 +203,8 @@ fn fig5(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
         .collect();
     let xs: Vec<String> = settings.iter().map(|(x, _)| x.clone()).collect();
     for (name, dataset, engines) in data {
-        for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
-            let rows = sweep(dataset, engines, &settings, queries, ordered, 0x5a);
+        for (kind, label) in KINDS {
+            let rows = sweep(dataset, engines, &settings, queries, kind, 0x5a);
             print_table(
                 &format!("Fig 5 — effect of |q.Φ| ({label} on {name})"),
                 "|q.Φ|",
@@ -229,8 +232,8 @@ fn fig6(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
         .collect();
     let xs: Vec<String> = settings.iter().map(|(x, _)| x.clone()).collect();
     for (name, dataset, engines) in data {
-        for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
-            let rows = sweep(dataset, engines, &settings, queries, ordered, 0x6a);
+        for (kind, label) in KINDS {
+            let rows = sweep(dataset, engines, &settings, queries, kind, 0x6a);
             print_table(
                 &format!("Fig 6 — effect of δ(Q) ({label} on {name})"),
                 "δ(Q)",
@@ -252,7 +255,7 @@ fn fig7(scale: f64, queries: usize) {
         .iter()
         .map(|f| format!("{}", (n as f64 * f) as usize))
         .collect();
-    for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
+    for (kind, label) in KINDS {
         let mut rows = Vec::new();
         for &f in &fractions {
             let sample = full.sample_prefix((n as f64 * f) as usize);
@@ -262,7 +265,7 @@ fn fig7(scale: f64, queries: usize) {
             rows.push(
                 engines
                     .iter()
-                    .map(|e| time_engine(e, &sample, &w, s.k, ordered))
+                    .map(|e| time_engine(e, &sample, &w, s.k, kind))
                     .collect(),
             );
         }
@@ -296,8 +299,8 @@ fn fig8(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
             .expect("index");
             let s = Setting::default();
             let w = workload(dataset, &s, queries, 0x8a);
-            let t_atsq = time_engine(&gat, dataset, &w, s.k, false);
-            let t_oatsq = time_engine(&gat, dataset, &w, s.k, true);
+            let t_atsq = time_engine(&gat, dataset, &w, s.k, QueryKind::Atsq);
+            let t_oatsq = time_engine(&gat, dataset, &w, s.k, QueryKind::Oatsq);
             let mem = gat.index().memory_report().main_memory_bytes();
             println!(
                 "{:<12}{:>12}{:>12}{:>14}",
@@ -342,7 +345,7 @@ fn io_model(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
             );
             for e in engines {
                 e.reset_counters();
-                let wall = time_engine(e, dataset, &w, s.k, false);
+                let wall = time_engine(e, dataset, &w, s.k, QueryKind::Atsq);
                 // A fetch is one APL posting-list read for GAT and one
                 // trajectory read for the baselines. Cold HICL levels
                 // are read in spatially clustered (Z-order-contiguous)
@@ -373,7 +376,7 @@ fn io_model(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
 /// simultaneously — shows up as fewer candidates *and* fewer distance
 /// evaluations than any baseline at the same answer quality.
 fn prune_report(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
-    for (ordered, label) in [(false, "ATSQ"), (true, "OATSQ")] {
+    for (kind, label) in KINDS {
         println!("\n### Pruning power — {label} (Table V defaults, per query)");
         println!(
             "{:<6}{:>6}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}",
@@ -392,11 +395,7 @@ fn prune_report(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
             for e in engines {
                 e.reset_counters();
                 for q in &w {
-                    if ordered {
-                        std::hint::black_box(e.oatsq(dataset, q, s.k));
-                    } else {
-                        std::hint::black_box(e.atsq(dataset, q, s.k));
-                    }
+                    std::hint::black_box(e.search(dataset, q, kind, Goal::TopK(s.k)));
                 }
                 let c = e.counters();
                 let per = |v: u64| v as f64 / w.len().max(1) as f64;
@@ -467,8 +466,8 @@ fn ablation(data: &[(String, Dataset, Vec<Engine>)], queries: usize) {
         let w = workload(dataset, &s, queries, 0xab);
         for (label, cfg) in &variants {
             let gat = GatEngine::build_with(dataset, *cfg).expect("index");
-            let t_atsq = time_engine(&gat, dataset, &w, s.k, false);
-            let t_oatsq = time_engine(&gat, dataset, &w, s.k, true);
+            let t_atsq = time_engine(&gat, dataset, &w, s.k, QueryKind::Atsq);
+            let t_oatsq = time_engine(&gat, dataset, &w, s.k, QueryKind::Oatsq);
             let c = gat.counters();
             println!(
                 "{:<10}{:>12}{:>12}{:>14}{:>12}",

@@ -9,7 +9,7 @@
 //! in minutes; pass `--full` to the `experiments` binary (or set
 //! higher scales programmatically) for paper-scale runs.
 
-use atsq_core::QueryEngine;
+use atsq_core::{Goal, QueryEngine, QueryKind};
 use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
 use atsq_types::{Dataset, Query};
 use std::time::{Duration, Instant};
@@ -79,15 +79,11 @@ pub fn time_engine(
     dataset: &Dataset,
     queries: &[Query],
     k: usize,
-    ordered: bool,
+    kind: QueryKind,
 ) -> Duration {
     let t0 = Instant::now();
     for q in queries {
-        if ordered {
-            std::hint::black_box(engine.oatsq(dataset, q, k));
-        } else {
-            std::hint::black_box(engine.atsq(dataset, q, k));
-        }
+        std::hint::black_box(engine.search(dataset, q, kind, Goal::TopK(k)));
     }
     t0.elapsed() / queries.len().max(1) as u32
 }
@@ -144,7 +140,7 @@ mod tests {
         let engines = Engine::build_all(&d).unwrap();
         let w = workload(&d, &Setting::default(), 2, 2);
         for e in &engines {
-            let t = time_engine(e, &d, &w, 3, false);
+            let t = time_engine(e, &d, &w, 3, QueryKind::Atsq);
             assert!(t.as_nanos() > 0);
         }
     }

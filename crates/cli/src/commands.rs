@@ -3,7 +3,8 @@
 use crate::args::parse;
 use crate::CliError;
 use atsq_core::{
-    matching, snapshot, CacheOutcome, Engine, GatEngine, IndexCache, Partition, QueryEngine,
+    matching, snapshot, CacheOutcome, Engine, GatEngine, Goal, IndexCache, Partition, QueryEngine,
+    QueryKind,
 };
 use atsq_datagen::CityConfig;
 use atsq_service::{LoadgenConfig, Server, Service, ServiceConfig};
@@ -199,15 +200,22 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ],
         &["ordered", "witness"],
     )?;
-    let tau = f
-        .get("range")
-        .map(|tau| {
+    // Both are validated before the dataset is loaded, so a malformed
+    // one fails fast.
+    let goal = match f.get("range") {
+        Some(tau) => Goal::Range(
             tau.parse()
                 .ok()
                 .filter(|tau: &f64| !tau.is_nan())
-                .ok_or_else(|| CliError::Usage("--range needs a number".into()))
-        })
-        .transpose()?;
+                .ok_or_else(|| CliError::Usage("--range needs a number".into()))?,
+        ),
+        None => Goal::TopK(f.num("k", 9)?),
+    };
+    let kind = if f.has("ordered") {
+        QueryKind::Oatsq
+    } else {
+        QueryKind::Atsq
+    };
     let dataset = load_dataset(f.require("data")?)?;
     let stops = f.get_all("stop");
     if stops.is_empty() {
@@ -237,24 +245,12 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         build_engine(&dataset, engine_name)?
     };
-    let ordered = f.has("ordered");
+    let results = engine.search(&dataset, &query, kind, goal);
 
-    let results = if let Some(tau) = tau {
-        if ordered {
-            engine.oatsq_range(&dataset, &query, tau)
-        } else {
-            engine.atsq_range(&dataset, &query, tau)
-        }
-    } else {
-        let k: usize = f.num("k", 9)?;
-        if ordered {
-            engine.oatsq(&dataset, &query, k)
-        } else {
-            engine.atsq(&dataset, &query, k)
-        }
+    let label = match kind {
+        QueryKind::Atsq => "Dmm",
+        QueryKind::Oatsq => "Dmom",
     };
-
-    let label = if ordered { "Dmom" } else { "Dmm" };
     writeln!(out, "{} result(s) [{}]:", results.len(), engine.name())?;
     for r in &results {
         let tr = dataset.trajectory(r.trajectory);
@@ -266,10 +262,9 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             tr.len()
         )?;
         if f.has("witness") {
-            let ws = if ordered {
-                matching::witness::min_order_match_witness(&query, &tr.points)
-            } else {
-                matching::witness::min_match_witness(&query, &tr.points)
+            let ws = match kind {
+                QueryKind::Atsq => matching::witness::min_match_witness(&query, &tr.points),
+                QueryKind::Oatsq => matching::witness::min_order_match_witness(&query, &tr.points),
             };
             if let Some(ws) = ws {
                 for (i, w) in ws.iter().enumerate() {
@@ -377,16 +372,13 @@ pub fn bench(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let engines = Engine::build_all(&dataset)?;
     writeln!(out, "{:<6}{:>14}{:>14}", "engine", "ATSQ ms", "OATSQ ms")?;
     for e in &engines {
-        let t = Instant::now();
-        for q in &queries {
-            std::hint::black_box(e.atsq(&dataset, q, k));
-        }
-        let atsq_ms = t.elapsed().as_secs_f64() * 1e3 / n as f64;
-        let t = Instant::now();
-        for q in &queries {
-            std::hint::black_box(e.oatsq(&dataset, q, k));
-        }
-        let oatsq_ms = t.elapsed().as_secs_f64() * 1e3 / n as f64;
+        let [atsq_ms, oatsq_ms] = [QueryKind::Atsq, QueryKind::Oatsq].map(|kind| {
+            let t = Instant::now();
+            for q in &queries {
+                std::hint::black_box(e.search(&dataset, q, kind, Goal::TopK(k)));
+            }
+            t.elapsed().as_secs_f64() * 1e3 / n as f64
+        });
         writeln!(out, "{:<6}{:>14.2}{:>14.2}", e.name(), atsq_ms, oatsq_ms)?;
     }
     Ok(())
@@ -1369,6 +1361,15 @@ u2,34.10,-118.30,20,hiking with a view
         )
         .is_err());
         assert!(run(&sv(&["query", "--data", "/nonexistent"]), &mut out).is_err());
+        // A malformed `--k` is reported before the dataset is opened.
+        let err = run(
+            &sv(&["query", "--data", "/nonexistent", "--k", "abc"]),
+            &mut out,
+        );
+        match err {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("--k"), "{msg}"),
+            other => panic!("want the --k usage error, got {other:?}"),
+        }
         // help works
         run(&sv(&["help"]), &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("USAGE"));

@@ -33,7 +33,12 @@
 //! # Engines
 //!
 //! Four interchangeable [`QueryEngine`] implementations exist, matching
-//! the paper's evaluation line-up:
+//! the paper's evaluation line-up. The trait lives in `atsq-types` and
+//! each engine implements it once, in its own crate, through one
+//! required method, [`QueryEngine::search`], which takes the
+//! [`QueryKind`] (ATSQ or OATSQ) and the [`Goal`] (top-k or range);
+//! `atsq`, `oatsq`, `atsq_range` and `oatsq_range` are provided
+//! one-line calls of it.
 //!
 //! | Engine | Index | Paper section |
 //! |---|---|---|
@@ -57,43 +62,20 @@ pub use atsq_gat::{
 };
 pub use atsq_matching as matching;
 pub use atsq_types as types;
+pub use atsq_types::{Goal, QueryEngine, QueryKind};
 pub use profile::{EngineCounters, Profiled};
 
 use atsq_types::{Dataset, Query, QueryResult, Result};
 
 /// A ready-to-use prelude: the types needed by typical applications.
 pub mod prelude {
-    pub use crate::{Engine, GatEngine, QueryEngine};
+    pub use crate::{Engine, GatEngine, Goal, QueryEngine, QueryKind};
     pub use atsq_baselines::{IlEngine, IrtEngine, RtEngine};
     pub use atsq_gat::{GatConfig, Partition, ShardedEngine};
     pub use atsq_types::{
         ActivityId, ActivitySet, Dataset, DatasetBuilder, Point, Query, QueryPoint, QueryResult,
         Rect, Trajectory, TrajectoryId, TrajectoryPoint,
     };
-}
-
-/// Which of the paper's two query types to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryKind {
-    /// Order-free ATSQ (§II).
-    Atsq,
-    /// Order-sensitive OATSQ (§VI).
-    Oatsq,
-}
-
-/// The two query types of the paper behind one interface, plus their
-/// threshold (range) variants.
-pub trait QueryEngine {
-    /// Activity Trajectory Similarity Query: top-`k` by `Dmm`.
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult>;
-    /// Order-sensitive ATSQ: top-`k` by `Dmom`.
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult>;
-    /// Every trajectory with `Dmm(Q, Tr) ≤ tau`, ascending.
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult>;
-    /// Every trajectory with `Dmom(Q, Tr) ≤ tau`, ascending.
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult>;
-    /// Short engine label for reports ("GAT", "IL", "RT", "IRT").
-    fn name(&self) -> &'static str;
 }
 
 /// The paper's proposed engine: a [`GatIndex`] behind [`QueryEngine`].
@@ -129,100 +111,20 @@ impl GatEngine {
 }
 
 impl QueryEngine for GatEngine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        atsq_gat::atsq(&self.index, dataset, query, k)
+    /// [`atsq_gat::search()`] over the engine's index. Panics on a
+    /// dataset shorter than the one indexed.
+    fn search(
+        &self,
+        dataset: &Dataset,
+        query: &Query,
+        kind: QueryKind,
+        goal: Goal,
+    ) -> Vec<QueryResult> {
+        atsq_gat::search(&self.index, dataset, query, kind, goal).expect("GAT search failed")
     }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        atsq_gat::oatsq(&self.index, dataset, query, k)
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        atsq_gat::atsq_range(&self.index, dataset, query, tau)
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        atsq_gat::oatsq_range(&self.index, dataset, query, tau)
-    }
+
     fn name(&self) -> &'static str {
         "GAT"
-    }
-}
-
-impl QueryEngine for IlEngine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        IlEngine::atsq(self, dataset, query, k)
-    }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        IlEngine::oatsq(self, dataset, query, k)
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        IlEngine::atsq_range(self, dataset, query, tau)
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        IlEngine::oatsq_range(self, dataset, query, tau)
-    }
-    fn name(&self) -> &'static str {
-        "IL"
-    }
-}
-
-impl QueryEngine for RtEngine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        RtEngine::atsq(self, dataset, query, k)
-    }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        RtEngine::oatsq(self, dataset, query, k)
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        RtEngine::atsq_range(self, dataset, query, tau)
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        RtEngine::oatsq_range(self, dataset, query, tau)
-    }
-    fn name(&self) -> &'static str {
-        "RT"
-    }
-}
-
-impl QueryEngine for IrtEngine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        IrtEngine::atsq(self, dataset, query, k)
-    }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        IrtEngine::oatsq(self, dataset, query, k)
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        IrtEngine::atsq_range(self, dataset, query, tau)
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        IrtEngine::oatsq_range(self, dataset, query, tau)
-    }
-    fn name(&self) -> &'static str {
-        "IRT"
-    }
-}
-
-/// The sharded GAT engine behind the common interface: the same
-/// search as [`GatEngine`] with candidate verification split over the
-/// engine's lanes. Panics where [`GatEngine`] does (a dataset shorter
-/// than the one indexed).
-impl QueryEngine for ShardedEngine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        self.try_atsq(dataset, query, k)
-            .expect("sharded ATSQ failed")
-    }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        self.try_oatsq(dataset, query, k)
-            .expect("sharded OATSQ failed")
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        self.try_atsq_range(dataset, query, tau)
-            .expect("sharded range ATSQ failed")
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        self.try_oatsq_range(dataset, query, tau)
-            .expect("sharded range OATSQ failed")
-    }
-    fn name(&self) -> &'static str {
-        "GAT-SHARDED"
     }
 }
 
@@ -303,51 +205,39 @@ impl Engine {
     }
 }
 
+/// What every engine inside an [`Engine`] offers: queries and work
+/// counters.
+trait Served: QueryEngine + Profiled {}
+
+impl<E: QueryEngine + Profiled> Served for E {}
+
+impl Engine {
+    /// The engine inside: the one dispatch every [`Engine`] method
+    /// goes through.
+    fn served(&self) -> &dyn Served {
+        match self {
+            Engine::Gat(e) => e,
+            Engine::Il(e) => e,
+            Engine::Rt(e) => e,
+            Engine::Irt(e) => e,
+            Engine::Sharded(e) => e,
+        }
+    }
+}
+
 impl QueryEngine for Engine {
-    fn atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        match self {
-            Engine::Gat(e) => e.atsq(dataset, query, k),
-            Engine::Il(e) => QueryEngine::atsq(e, dataset, query, k),
-            Engine::Rt(e) => QueryEngine::atsq(e, dataset, query, k),
-            Engine::Irt(e) => QueryEngine::atsq(e, dataset, query, k),
-            Engine::Sharded(e) => QueryEngine::atsq(e, dataset, query, k),
-        }
+    fn search(
+        &self,
+        dataset: &Dataset,
+        query: &Query,
+        kind: QueryKind,
+        goal: Goal,
+    ) -> Vec<QueryResult> {
+        self.served().search(dataset, query, kind, goal)
     }
-    fn oatsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-        match self {
-            Engine::Gat(e) => e.oatsq(dataset, query, k),
-            Engine::Il(e) => QueryEngine::oatsq(e, dataset, query, k),
-            Engine::Rt(e) => QueryEngine::oatsq(e, dataset, query, k),
-            Engine::Irt(e) => QueryEngine::oatsq(e, dataset, query, k),
-            Engine::Sharded(e) => QueryEngine::oatsq(e, dataset, query, k),
-        }
-    }
-    fn atsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        match self {
-            Engine::Gat(e) => QueryEngine::atsq_range(e, dataset, query, tau),
-            Engine::Il(e) => QueryEngine::atsq_range(e, dataset, query, tau),
-            Engine::Rt(e) => QueryEngine::atsq_range(e, dataset, query, tau),
-            Engine::Irt(e) => QueryEngine::atsq_range(e, dataset, query, tau),
-            Engine::Sharded(e) => QueryEngine::atsq_range(e, dataset, query, tau),
-        }
-    }
-    fn oatsq_range(&self, dataset: &Dataset, query: &Query, tau: f64) -> Vec<QueryResult> {
-        match self {
-            Engine::Gat(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
-            Engine::Il(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
-            Engine::Rt(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
-            Engine::Irt(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
-            Engine::Sharded(e) => QueryEngine::oatsq_range(e, dataset, query, tau),
-        }
-    }
+
     fn name(&self) -> &'static str {
-        match self {
-            Engine::Gat(e) => e.name(),
-            Engine::Il(e) => e.name(),
-            Engine::Rt(e) => e.name(),
-            Engine::Irt(e) => e.name(),
-            Engine::Sharded(e) => e.name(),
-        }
+        self.served().name()
     }
 }
 
@@ -369,26 +259,20 @@ mod tests {
             },
             5,
         );
-        for q in &queries {
-            let reference = engines[0].atsq(&dataset, q, 5);
-            for e in &engines[1..] {
-                assert_eq!(e.atsq(&dataset, q, 5), reference, "{} diverged", e.name());
-            }
-            let reference_o = engines[0].oatsq(&dataset, q, 5);
-            for e in &engines[1..] {
-                assert_eq!(
-                    e.oatsq(&dataset, q, 5),
-                    reference_o,
-                    "{} diverged (ordered)",
-                    e.name()
-                );
-            }
-            // `k` comes from the command line and the wire: a `k` past
-            // the dataset must neither reserve for it nor overflow.
+        let n = dataset.len();
+        for (q, kind) in queries
+            .iter()
+            .flat_map(|q| [(q, QueryKind::Atsq), (q, QueryKind::Oatsq)])
+        {
+            let reference = engines[0].search(&dataset, q, kind, Goal::TopK(5));
             for e in &engines {
-                let n = dataset.len();
-                assert_eq!(e.atsq(&dataset, q, usize::MAX), e.atsq(&dataset, q, n));
-                assert_eq!(e.oatsq(&dataset, q, usize::MAX), e.oatsq(&dataset, q, n));
+                let got = e.search(&dataset, q, kind, Goal::TopK(5));
+                assert_eq!(got, reference, "{} diverged ({kind:?})", e.name());
+                // `k` comes from the command line and the wire: a `k`
+                // past the dataset must neither reserve for it nor
+                // overflow.
+                let all = e.search(&dataset, q, kind, Goal::TopK(n));
+                assert_eq!(e.search(&dataset, q, kind, Goal::TopK(usize::MAX)), all);
             }
         }
     }

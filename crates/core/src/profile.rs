@@ -150,22 +150,10 @@ profiled_baseline!(IrtEngine);
 
 impl Profiled for Engine {
     fn counters(&self) -> EngineCounters {
-        match self {
-            Engine::Gat(e) => e.counters(),
-            Engine::Il(e) => e.counters(),
-            Engine::Rt(e) => e.counters(),
-            Engine::Irt(e) => e.counters(),
-            Engine::Sharded(e) => e.counters(),
-        }
+        self.served().counters()
     }
     fn reset_counters(&self) {
-        match self {
-            Engine::Gat(e) => e.reset_counters(),
-            Engine::Il(e) => e.reset_counters(),
-            Engine::Rt(e) => e.reset_counters(),
-            Engine::Irt(e) => e.reset_counters(),
-            Engine::Sharded(e) => e.reset_counters(),
-        }
+        self.served().reset_counters();
     }
 }
 

@@ -22,11 +22,14 @@
 //!    memory and counts each fetch the paper would make
 //!    ([`stats::IoStats`]).
 //!
-//! [`search`] implements Algorithm 1 (the one search loop), the
-//! candidate retrieval of §V-A, the tightened lower bound of
-//! Algorithm 2, and the ATSQ / OATSQ query entry points. [`sharded`]
-//! runs the same loop with candidate verification split over `S`
-//! lanes of one index.
+//! [`mod@search`] implements Algorithm 1 (the one search loop), the
+//! candidate retrieval of §V-A and the tightened lower bound of
+//! Algorithm 2 behind one fallible entry point, [`fn@search`], which
+//! takes the [`QueryKind`](atsq_types::QueryKind) (ATSQ or OATSQ) and
+//! the [`Goal`](atsq_types::Goal) (top-k or range). [`sharded`] runs
+//! the same loop with candidate verification split over `S` lanes of
+//! one index, behind [`ShardedEngine::try_search`] and the
+//! [`QueryEngine`](atsq_types::QueryEngine) trait.
 //!
 //! The index is immutable once built. [`snapshot`] persists it as a
 //! versioned, checksummed binary snapshot (the configuration, grid and
@@ -53,9 +56,7 @@ pub mod tas;
 pub use config::GatConfig;
 pub use index::{GatIndex, MemoryReport};
 pub use kernel::ScoreScratch;
-pub use search::{
-    atsq, atsq_range, oatsq, oatsq_range, try_atsq, try_atsq_range, try_oatsq, try_oatsq_range,
-};
+pub use search::search;
 pub use sharded::{Partition, ShardedEngine};
 pub use snapshot::{CacheOutcome, IndexCache, SnapshotInfo};
 pub use stats::IoStats;

@@ -1,13 +1,14 @@
 //! The GAT search algorithm (§V, §VI): Algorithm 1's retrieve /
 //! validate / refine loop, the §V-A best-first candidate retrieval, the
-//! Algorithm-2 lower bound for unseen trajectories, and the ATSQ /
-//! OATSQ entry points.
+//! Algorithm-2 lower bound for unseen trajectories, and the one query
+//! entry point, [`search`].
 //!
-//! There is exactly one loop — `search` — for top-k and range
-//! queries, ATSQ and OATSQ, one index or a sharded engine: the
-//! variants differ only in the `Goal` that decides what is kept,
-//! the `Verify` pipeline run per candidate, and whether a
-//! [`ShardedEngine`] fans verification out over its lanes.
+//! There is exactly one loop for top-k and range queries, ATSQ and
+//! OATSQ, one index or a sharded engine: the variants differ only in
+//! the [`Goal`] whose [`Sink`] decides what is kept, the
+//! [`QueryKind`] that picks the verification pipeline run per
+//! candidate, and whether a [`ShardedEngine`] fans verification out
+//! over its lanes.
 //!
 //! The unvisited grid cells are kept once, as one ordered set per
 //! query point: retrieval pops the least head across the sets, and
@@ -21,15 +22,15 @@ use atsq_grid::CellId;
 use atsq_matching::order_match::{min_order_match_distance, order_feasible};
 use atsq_matching::point_match::{dmpm_from_sorted, CandidatePoint, QueryMask};
 use atsq_types::{
-    rank_top_k, ActivitySet, Dataset, Error, Query, QueryResult, Result, TrajectoryId,
+    ActivitySet, Dataset, Error, Goal, Query, QueryKind, QueryResult, Result, Sink, TrajectoryId,
 };
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Total-ordering wrapper for f64 priorities (never NaN here).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(f64);
+struct OrdF64(f64);
 
 impl Eq for OrdF64 {}
 impl PartialOrd for OrdF64 {
@@ -199,106 +200,9 @@ impl<'a> Retrieval<'a> {
     }
 }
 
-/// What a search is asked to return.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Goal {
-    /// The `k` trajectories with the smallest distance (Algorithm 1).
-    TopK(usize),
-    /// Every trajectory within distance `tau`: the radius replaces the
-    /// k-th best distance in every pruning test.
-    Range(f64),
-}
-
-/// The results collected so far, and the distance a candidate must
-/// not exceed to still matter.
-///
-/// Its content is a pure function of the *set* of offered `(dist, id)`
-/// pairs — the k smallest under the `(dist, id)` order, or all within
-/// the radius — so any evaluation order, and any extra offers of pairs
-/// worse than the final k-th, produce the same results. Fanning
-/// verification out over lanes leans on exactly this property.
-pub(crate) enum Sink {
-    /// Bounded max-heap whose top is the current k-th best.
-    TopK {
-        k: usize,
-        heap: BinaryHeap<(OrdF64, TrajectoryId)>,
-    },
-    Range {
-        tau: f64,
-        out: Vec<QueryResult>,
-    },
-}
-
-impl Sink {
-    /// `n` is the number of trajectories that could ever be offered:
-    /// `k` comes off the wire, so the reservation is bounded by `n`.
-    fn new(goal: Goal, n: usize) -> Self {
-        match goal {
-            Goal::TopK(k) => Sink::TopK {
-                k,
-                heap: BinaryHeap::with_capacity(k.min(n) + 1),
-            },
-            Goal::Range(tau) => Sink::Range {
-                tau,
-                out: Vec::new(),
-            },
-        }
-    }
-
-    /// `Dk` of Algorithm 1: the live k-th best distance (`∞` until k
-    /// results exist), or the radius. It only ever over-estimates the
-    /// final cutoff, so pruning *strictly* against it (or against any
-    /// earlier value of it, as parallel lanes do) never drops a result
-    /// or changes a tie-break.
-    pub(crate) fn cutoff(&self) -> f64 {
-        match self {
-            Sink::TopK { k, heap } if heap.len() == *k => {
-                heap.peek().map_or(f64::INFINITY, |&(d, _)| d.0)
-            }
-            Sink::TopK { .. } => f64::INFINITY,
-            Sink::Range { tau, .. } => *tau,
-        }
-    }
-
-    pub(crate) fn offer(&mut self, dist: f64, tr: TrajectoryId) {
-        match self {
-            Sink::TopK { k, heap } => {
-                heap.push((OrdF64(dist), tr));
-                if heap.len() > *k {
-                    heap.pop();
-                }
-            }
-            Sink::Range { tau, out } => {
-                if dist <= *tau {
-                    out.push(QueryResult::new(tr, dist));
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Vec<QueryResult> {
-        match self {
-            Sink::TopK { k, heap } => {
-                let results = heap.into_iter().map(|(d, tr)| QueryResult::new(tr, d.0));
-                rank_top_k(results.collect(), k)
-            }
-            Sink::Range { out, .. } => rank_top_k(out, usize::MAX),
-        }
-    }
-}
-
-/// Which verification pipeline runs per candidate: ATSQ's `Dmm`
-/// (Algorithm 3 per query point) or OATSQ's `Dmom` (MIB filter +
-/// Algorithm 4 with the `Dk` early exit).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Verify {
-    Atsq,
-    Oatsq,
-}
-
 /// One query's candidate verification: everything but the candidate.
 pub(crate) struct Verifier<'a> {
-    kind: Verify,
+    kind: QueryKind,
     index: &'a GatIndex,
     dataset: &'a Dataset,
     query: &'a Query,
@@ -338,7 +242,7 @@ impl Verifier<'_> {
         }
         let points = &self.dataset.trajectory(tr).points;
         match self.kind {
-            Verify::Atsq => {
+            QueryKind::Atsq => {
                 stats.record_distance();
                 let mut total = 0.0;
                 for q in &self.query.points {
@@ -349,7 +253,7 @@ impl Verifier<'_> {
                 }
                 Some(total)
             }
-            Verify::Oatsq => {
+            QueryKind::Oatsq => {
                 // MIB filter before the expensive dynamic program.
                 if !order_feasible(self.query, points) {
                     return None;
@@ -377,6 +281,27 @@ impl SerialClock {
     }
 }
 
+/// ATSQ (§II) or OATSQ (§VI) over one index, top-k or range: the `k`
+/// trajectories with the smallest `Dmm` (or `Dmom`), or every one
+/// within the radius, ascending with ties broken by id.
+///
+/// For OATSQ, Lemma 3 (`Dmm ≤ Dmom`) keeps the Algorithm-2 lower bound
+/// valid, so the same retrieval loop applies; only validation and the
+/// distance function change. A range goal replaces `Dk` by its radius
+/// in every pruning test, and for OATSQ Algorithm 4's early exit
+/// doubles as the radius filter.
+///
+/// Errs on a `dataset` shorter than the one indexed.
+pub fn search(
+    index: &GatIndex,
+    dataset: &Dataset,
+    query: &Query,
+    kind: QueryKind,
+    goal: Goal,
+) -> Result<Vec<QueryResult>> {
+    run(index, dataset, query, kind, goal, None)
+}
+
 /// Algorithm 1 — the one search loop of the crate. Retrieves candidate
 /// batches best-first (§V-A), verifies each candidate, offers the
 /// survivors to the goal's sink, and stops once the sink's cutoff
@@ -389,11 +314,11 @@ impl SerialClock {
 /// threads), still at the *global* trajectory id against the same
 /// index and dataset — so the candidate stream, every distance and the
 /// `(distance, id)` ranking are those of the single index.
-pub(crate) fn search(
+pub(crate) fn run(
     index: &GatIndex,
     dataset: &Dataset,
     query: &Query,
-    kind: Verify,
+    kind: QueryKind,
     goal: Goal,
     fanout: Option<&ShardedEngine>,
 ) -> Result<Vec<QueryResult>> {
@@ -406,12 +331,7 @@ pub(crate) fn search(
             index.tas().len()
         )));
     }
-    let wants_nothing = match goal {
-        Goal::TopK(k) => k == 0,
-        // A NaN radius admits nothing, like a negative one.
-        Goal::Range(tau) => tau.is_nan() || tau < 0.0,
-    };
-    if wants_nothing || dataset.is_empty() {
+    if goal.wants_nothing() || dataset.is_empty() {
         return Ok(Vec::new());
     }
     let verifier = Verifier {
@@ -457,106 +377,23 @@ pub(crate) fn search(
     Ok(sink.finish())
 }
 
-/// Fallible form of [`atsq`]; errs on a `dataset` shorter than the one
-/// indexed.
-pub fn try_atsq(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-) -> Result<Vec<QueryResult>> {
-    search(index, dataset, query, Verify::Atsq, Goal::TopK(k), None)
-}
-
-/// Activity Trajectory Similarity Query (ATSQ, §II): the `k`
-/// trajectories with the smallest minimum match distance `Dmm(Q, ·)`.
-///
-/// # Panics
-/// On a `dataset` shorter than the one indexed; use [`try_atsq`] to
-/// handle that.
-pub fn atsq(index: &GatIndex, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-    try_atsq(index, dataset, query, k).expect("ATSQ failed")
-}
-
-/// Fallible form of [`oatsq`]; errs as [`try_atsq`] does.
-pub fn try_oatsq(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    k: usize,
-) -> Result<Vec<QueryResult>> {
-    search(index, dataset, query, Verify::Oatsq, Goal::TopK(k), None)
-}
-
-/// Order-sensitive ATSQ (OATSQ, §VI): the `k` trajectories with the
-/// smallest minimum order-sensitive match distance `Dmom(Q, ·)`.
-///
-/// Lemma 3 (`Dmm ≤ Dmom`) keeps the Algorithm-2 lower bound valid, so
-/// the same retrieval loop applies; only validation and the distance
-/// function change.
-///
-/// # Panics
-/// As [`atsq`]; use [`try_oatsq`] otherwise.
-pub fn oatsq(index: &GatIndex, dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-    try_oatsq(index, dataset, query, k).expect("OATSQ failed")
-}
-
-/// Fallible form of [`atsq_range`]; errs as [`try_atsq`] does.
-pub fn try_atsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Result<Vec<QueryResult>> {
-    search(index, dataset, query, Verify::Atsq, Goal::Range(tau), None)
-}
-
-/// Range (threshold) ATSQ: every trajectory with `Dmm(Q, Tr) ≤ tau`,
-/// ascending by distance. A natural companion of the paper's top-k
-/// query: the same index, candidate retrieval and Algorithm-2 bound
-/// apply, with the radius replacing `Dkmm` in the termination test.
-///
-/// # Panics
-/// As [`atsq`]; use [`try_atsq_range`] otherwise.
-pub fn atsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Vec<QueryResult> {
-    try_atsq_range(index, dataset, query, tau).expect("range ATSQ failed")
-}
-
-/// Fallible form of [`oatsq_range`]; errs as [`try_atsq`] does.
-pub fn try_oatsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Result<Vec<QueryResult>> {
-    // Algorithm 4's early exit doubles as the radius filter.
-    search(index, dataset, query, Verify::Oatsq, Goal::Range(tau), None)
-}
-
-/// Range (threshold) OATSQ: every trajectory with `Dmom(Q, Tr) ≤ tau`.
-///
-/// # Panics
-/// As [`atsq`]; use [`try_oatsq_range`] otherwise.
-pub fn oatsq_range(
-    index: &GatIndex,
-    dataset: &Dataset,
-    query: &Query,
-    tau: f64,
-) -> Vec<QueryResult> {
-    try_oatsq_range(index, dataset, query, tau).expect("range OATSQ failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::GatConfig;
     use atsq_matching::{min_match_distance, min_order_match_distance as dmom_exact};
-    use atsq_types::{ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
+    use atsq_types::{rank_top_k, ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
+    use QueryKind::{Atsq, Oatsq};
+
+    fn top_k(
+        idx: &GatIndex,
+        d: &Dataset,
+        q: &Query,
+        kind: QueryKind,
+        k: usize,
+    ) -> Vec<QueryResult> {
+        search(idx, d, q, kind, Goal::TopK(k)).unwrap()
+    }
 
     fn tp(x: f64, y: f64, acts: &[u32]) -> TrajectoryPoint {
         TrajectoryPoint::new(
@@ -609,7 +446,7 @@ mod tests {
     fn atsq_ranks_by_dmm() {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
-        let res = atsq(&idx, &d, &query(), 3);
+        let res = top_k(&idx, &d, &query(), Atsq, 3);
         let ids: Vec<u32> = res.iter().map(|r| r.trajectory.0).collect();
         // Tr4 has Dmm = 0.1 (activity 0 at x=0.1, activity 1 at x=10).
         assert_eq!(ids, vec![0, 4, 1]);
@@ -622,7 +459,7 @@ mod tests {
     fn oatsq_respects_order() {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
-        let res = oatsq(&idx, &d, &query(), 3);
+        let res = top_k(&idx, &d, &query(), Oatsq, 3);
         let ids: Vec<u32> = res.iter().map(|r| r.trajectory.0).collect();
         // Tr4 is invalid for the ordered query (1 appears before 0).
         assert_eq!(ids, vec![0, 1, 3]);
@@ -633,26 +470,19 @@ mod tests {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
         let q = query();
-        for k in 1..=5 {
-            let got = atsq(&idx, &d, &q, k);
-            let mut want = Vec::new();
+        for kind in [Atsq, Oatsq] {
+            let mut all = Vec::new();
             for tr in d.trajectories() {
-                if let Some(dist) = min_match_distance(&q, &tr.points) {
-                    want.push(QueryResult::new(tr.id, dist));
-                }
+                let dist = match kind {
+                    Atsq => min_match_distance(&q, &tr.points),
+                    Oatsq => dmom_exact(&q, &tr.points, f64::INFINITY),
+                };
+                all.extend(dist.map(|dist| QueryResult::new(tr.id, dist)));
             }
-            let want = rank_top_k(want, k);
-            assert_eq!(got, want, "k={k}");
-
-            let got_o = oatsq(&idx, &d, &q, k);
-            let mut want_o = Vec::new();
-            for tr in d.trajectories() {
-                if let Some(dist) = dmom_exact(&q, &tr.points, f64::INFINITY) {
-                    want_o.push(QueryResult::new(tr.id, dist));
-                }
+            for k in 1..=5 {
+                let want = rank_top_k(all.clone(), k);
+                assert_eq!(top_k(&idx, &d, &q, kind, k), want, "{kind:?} k={k}");
             }
-            let want_o = rank_top_k(want_o, k);
-            assert_eq!(got_o, want_o, "ordered k={k}");
         }
     }
 
@@ -660,10 +490,10 @@ mod tests {
     fn k_zero_and_empty_dataset() {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
-        assert!(atsq(&idx, &d, &query(), 0).is_empty());
+        assert!(top_k(&idx, &d, &query(), Atsq, 0).is_empty());
         let empty = DatasetBuilder::new().finish().unwrap();
         let idx2 = GatIndex::build(&empty).unwrap();
-        assert!(atsq(&idx2, &empty, &query(), 3).is_empty());
+        assert!(top_k(&idx2, &empty, &query(), Atsq, 3).is_empty());
     }
 
     /// A NaN radius wants nothing, like a negative one: the search
@@ -673,8 +503,11 @@ mod tests {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
         for tau in [f64::NAN, -1.0] {
-            assert!(atsq_range(&idx, &d, &query(), tau).is_empty());
-            assert!(oatsq_range(&idx, &d, &query(), tau).is_empty());
+            for kind in [Atsq, Oatsq] {
+                assert!(search(&idx, &d, &query(), kind, Goal::Range(tau))
+                    .unwrap()
+                    .is_empty());
+            }
         }
         assert_eq!(idx.stats().snapshot().candidates_retrieved, 0);
     }
@@ -684,8 +517,8 @@ mod tests {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
         let q = Query::new(vec![qp(0.0, 0.0, &[3])]).unwrap(); // "d" never occurs
-        assert!(atsq(&idx, &d, &q, 3).is_empty());
-        assert!(oatsq(&idx, &d, &q, 3).is_empty());
+        assert!(top_k(&idx, &d, &q, Atsq, 3).is_empty());
+        assert!(top_k(&idx, &d, &q, Oatsq, 3).is_empty());
     }
 
     /// `k` comes off the wire: a huge `k` must neither reserve memory
@@ -694,12 +527,12 @@ mod tests {
     fn k_beyond_the_dataset_returns_every_match() {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
-        let all = atsq(&idx, &d, &query(), d.len());
+        let all = top_k(&idx, &d, &query(), Atsq, d.len());
         assert_eq!(all.len(), 4, "Tr2 lacks activity 1");
-        assert_eq!(atsq(&idx, &d, &query(), usize::MAX), all);
+        assert_eq!(top_k(&idx, &d, &query(), Atsq, usize::MAX), all);
         assert_eq!(
-            oatsq(&idx, &d, &query(), usize::MAX),
-            oatsq(&idx, &d, &query(), d.len())
+            top_k(&idx, &d, &query(), Oatsq, usize::MAX),
+            top_k(&idx, &d, &query(), Oatsq, d.len())
         );
     }
 
@@ -714,10 +547,10 @@ mod tests {
         let sharded = ShardedEngine::build_with(&d, 3, Partition::Hash, config()).unwrap();
         let q = query();
         for got in [
-            try_atsq(&idx, &short, &q, 3),
-            try_oatsq_range(&idx, &short, &q, 5.0),
-            sharded.try_atsq(&short, &q, 3),
-            sharded.try_oatsq_range(&short, &q, 5.0),
+            search(&idx, &short, &q, Atsq, Goal::TopK(3)),
+            search(&idx, &short, &q, Oatsq, Goal::Range(5.0)),
+            sharded.try_search(&short, &q, Atsq, Goal::TopK(3)),
+            sharded.try_search(&short, &q, Oatsq, Goal::Range(5.0)),
         ] {
             assert!(matches!(got, Err(Error::InvalidConfig(_))), "{got:?}");
         }
@@ -727,7 +560,7 @@ mod tests {
     fn stats_reflect_pipeline() {
         let d = dataset();
         let idx = GatIndex::build_with(&d, config()).unwrap();
-        let _ = atsq(&idx, &d, &query(), 2);
+        let _ = top_k(&idx, &d, &query(), Atsq, 2);
         let s = idx.stats().snapshot();
         assert!(s.candidates_retrieved > 0);
         assert!(s.tas_checks > 0);

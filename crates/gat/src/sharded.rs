@@ -6,7 +6,7 @@
 //! trajectory*, so verifying on `S` threads needs no second index:
 //! the engine holds one index over the full dataset and a table
 //! assigning each trajectory id to one of `S` **lanes**. A query runs
-//! the one search loop ([`crate::search`]): the §V-A traversal
+//! the one search loop ([`crate::search()`]): the §V-A traversal
 //! produces each candidate batch once, the batch is routed to the
 //! lanes owning its candidates, and every lane verifies its share —
 //! on its own worker thread when the host has cores to spare — at the
@@ -23,10 +23,13 @@
 use crate::config::GatConfig;
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
-use crate::search::{search, Goal, Sink, Verifier, Verify};
+use crate::search::{run, Verifier};
 use crate::stats::{IoSnapshot, IoStats};
 use atsq_grid::morton_encode;
-use atsq_types::{Dataset, Error, Point, Query, QueryResult, Result, TrajectoryId};
+use atsq_types::{
+    Dataset, Error, Goal, Point, Query, QueryEngine, QueryKind, QueryResult, Result, Sink,
+    TrajectoryId,
+};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
@@ -92,7 +95,7 @@ impl Lane {
 }
 
 /// One [`GatIndex`] whose candidates are verified on `S` lanes, behind
-/// the same four query entry points as the single index. Like the
+/// the same query entry point as the single index. Like the
 /// index it stores no trajectory data: queries take the [`Dataset`]
 /// the engine was built over.
 #[derive(Debug)]
@@ -237,44 +240,17 @@ impl ShardedEngine {
         self.router_busy_ns.store(0, AtomicOrdering::Relaxed);
     }
 
-    /// Top-`k` ATSQ (exact; see module docs). `dataset` is the dataset
-    /// the engine was built over.
-    pub fn try_atsq(&self, dataset: &Dataset, query: &Query, k: usize) -> Result<Vec<QueryResult>> {
-        let goal = Goal::TopK(k);
-        search(&self.index, dataset, query, Verify::Atsq, goal, Some(self))
-    }
-
-    /// Top-`k` OATSQ (exact; see module docs).
-    pub fn try_oatsq(
+    /// [`crate::search()`] with verification split over the lanes:
+    /// exactly the single-index answer (see module docs). `dataset` is
+    /// the dataset the engine was built over; errs on a shorter one.
+    pub fn try_search(
         &self,
         dataset: &Dataset,
         query: &Query,
-        k: usize,
+        kind: QueryKind,
+        goal: Goal,
     ) -> Result<Vec<QueryResult>> {
-        let goal = Goal::TopK(k);
-        search(&self.index, dataset, query, Verify::Oatsq, goal, Some(self))
-    }
-
-    /// Range ATSQ: every trajectory with `Dmm ≤ tau`.
-    pub fn try_atsq_range(
-        &self,
-        dataset: &Dataset,
-        query: &Query,
-        tau: f64,
-    ) -> Result<Vec<QueryResult>> {
-        let goal = Goal::Range(tau);
-        search(&self.index, dataset, query, Verify::Atsq, goal, Some(self))
-    }
-
-    /// Range OATSQ: every trajectory with `Dmom ≤ tau`.
-    pub fn try_oatsq_range(
-        &self,
-        dataset: &Dataset,
-        query: &Query,
-        tau: f64,
-    ) -> Result<Vec<QueryResult>> {
-        let goal = Goal::Range(tau);
-        search(&self.index, dataset, query, Verify::Oatsq, goal, Some(self))
+        run(&self.index, dataset, query, kind, goal, Some(self))
     }
 
     /// The per-lane working buffers of one query.
@@ -284,6 +260,28 @@ impl ShardedEngine {
             groups: vec![Vec::new(); self.lanes.len()],
             scratches: self.lanes.iter().map(|_| ScoreScratch::new()).collect(),
         }
+    }
+}
+
+/// The sharded GAT engine behind the common interface. A caller that
+/// breaks the trait's contract — `dataset` is the one the engine was
+/// built over — with a shorter dataset gets a panic here, as from
+/// every other engine; [`ShardedEngine::try_search`] reports it as an
+/// error instead.
+impl QueryEngine for ShardedEngine {
+    fn search(
+        &self,
+        dataset: &Dataset,
+        query: &Query,
+        kind: QueryKind,
+        goal: Goal,
+    ) -> Vec<QueryResult> {
+        self.try_search(dataset, query, kind, goal)
+            .expect("invariant: queried with the dataset the engine was built over")
+    }
+
+    fn name(&self) -> &'static str {
+        "GAT-SHARDED"
     }
 }
 
@@ -447,6 +445,7 @@ fn centroid(points: impl Iterator<Item = Point>) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::search;
     use atsq_types::{ActivitySet, DatasetBuilder, QueryPoint, TrajectoryPoint};
 
     fn dataset(n: usize) -> Dataset {
@@ -476,6 +475,17 @@ mod tests {
             b.push_trajectory(pts);
         }
         b.finish().unwrap()
+    }
+
+    /// Both kinds, top-k and range.
+    fn plans() -> Vec<(QueryKind, Goal)> {
+        let goals = [1usize, 3, 9]
+            .map(Goal::TopK)
+            .into_iter()
+            .chain([5.0, 40.0].map(Goal::Range));
+        goals
+            .flat_map(|goal| [(QueryKind::Atsq, goal), (QueryKind::Oatsq, goal)])
+            .collect()
     }
 
     fn query(x: f64, y: f64) -> Query {
@@ -515,28 +525,11 @@ mod tests {
             for s in [1usize, 2, 3, 7] {
                 let engine = ShardedEngine::build(&d, s, partition).unwrap();
                 for q in [query(10.0, 10.0), query(50.0, 80.0)] {
-                    for k in [1usize, 3, 9] {
+                    for (kind, goal) in plans() {
                         assert_eq!(
-                            engine.try_atsq(&d, &q, k).unwrap(),
-                            crate::search::atsq(&single, &d, &q, k),
-                            "ATSQ diverged (S={s}, {partition})"
-                        );
-                        assert_eq!(
-                            engine.try_oatsq(&d, &q, k).unwrap(),
-                            crate::search::oatsq(&single, &d, &q, k),
-                            "OATSQ diverged (S={s}, {partition})"
-                        );
-                    }
-                    for tau in [5.0f64, 40.0] {
-                        assert_eq!(
-                            engine.try_atsq_range(&d, &q, tau).unwrap(),
-                            crate::search::atsq_range(&single, &d, &q, tau),
-                            "range ATSQ diverged (S={s}, {partition})"
-                        );
-                        assert_eq!(
-                            engine.try_oatsq_range(&d, &q, tau).unwrap(),
-                            crate::search::oatsq_range(&single, &d, &q, tau),
-                            "range OATSQ diverged (S={s}, {partition})"
+                            engine.try_search(&d, &q, kind, goal).unwrap(),
+                            search(&single, &d, &q, kind, goal).unwrap(),
+                            "{kind:?} {goal:?} diverged (S={s}, {partition})"
                         );
                     }
                 }
@@ -548,7 +541,7 @@ mod tests {
     fn per_shard_stats_accumulate_and_reset() {
         let d = dataset(40);
         let engine = ShardedEngine::build(&d, 4, Partition::Hash).unwrap();
-        engine.try_atsq(&d, &query(20.0, 20.0), 5).unwrap();
+        engine.atsq(&d, &query(20.0, 20.0), 5);
         let stats = engine.per_shard_stats();
         assert_eq!(stats.len(), 4);
         assert!(
@@ -581,8 +574,8 @@ mod tests {
             ActivitySet::from_raw([1]),
         )])
         .unwrap();
-        assert!(engine.try_atsq(&empty, &q, 3).unwrap().is_empty());
-        assert!(engine.try_atsq_range(&empty, &q, 10.0).unwrap().is_empty());
+        assert!(engine.atsq(&empty, &q, 3).is_empty());
+        assert!(engine.atsq_range(&empty, &q, 10.0).is_empty());
     }
 
     /// The scoped-thread verification fan-out must return exactly the
@@ -596,23 +589,13 @@ mod tests {
             let mut engine = ShardedEngine::build(&d, 4, partition).unwrap();
             engine.threads = 3;
             for q in [query(10.0, 10.0), query(50.0, 80.0)] {
-                for k in [1usize, 3, 9] {
+                for (kind, goal) in plans() {
                     assert_eq!(
-                        engine.try_atsq(&d, &q, k).unwrap(),
-                        crate::search::atsq(&single, &d, &q, k),
-                        "parallel ATSQ diverged ({partition})"
-                    );
-                    assert_eq!(
-                        engine.try_oatsq(&d, &q, k).unwrap(),
-                        crate::search::oatsq(&single, &d, &q, k),
-                        "parallel OATSQ diverged ({partition})"
+                        engine.try_search(&d, &q, kind, goal).unwrap(),
+                        search(&single, &d, &q, kind, goal).unwrap(),
+                        "parallel {kind:?} {goal:?} diverged ({partition})"
                     );
                 }
-                assert_eq!(
-                    engine.try_oatsq_range(&d, &q, 40.0).unwrap(),
-                    crate::search::oatsq_range(&single, &d, &q, 40.0),
-                    "parallel range OATSQ diverged ({partition})"
-                );
             }
         }
     }
@@ -627,10 +610,10 @@ mod tests {
         let single = GatIndex::build(&d).unwrap();
         let engine = ShardedEngine::build(&d, 4, Partition::Hash).unwrap();
         let q = query(20.0, 20.0);
-        let want = crate::search::atsq(&single, &d, &q, 5);
+        let want = search(&single, &d, &q, QueryKind::Atsq, Goal::TopK(5)).unwrap();
         let single_stats = single.stats().snapshot();
 
-        assert_eq!(engine.try_atsq(&d, &q, 5).unwrap(), want);
+        assert_eq!(engine.atsq(&d, &q, 5), want);
         let sharded_candidates: u64 = engine
             .per_shard_stats()
             .iter()

@@ -626,21 +626,20 @@ mod tests {
     }
 
     fn assert_same_answers(built: &GatIndex, loaded: &GatIndex, d: &Dataset) {
-        use crate::search::{atsq, atsq_range, oatsq, oatsq_range};
-        for q in queries(d) {
-            for k in [1usize, 3, 9] {
-                assert_eq!(atsq(built, d, &q, k), atsq(loaded, d, &q, k));
-                assert_eq!(oatsq(built, d, &q, k), oatsq(loaded, d, &q, k));
-            }
-            for tau in [5.0f64, 50.0] {
-                assert_eq!(
-                    atsq_range(built, d, &q, tau),
-                    atsq_range(loaded, d, &q, tau)
-                );
-                assert_eq!(
-                    oatsq_range(built, d, &q, tau),
-                    oatsq_range(loaded, d, &q, tau)
-                );
+        use crate::search::search;
+        use atsq_types::{Goal, QueryKind};
+        let goals = [1usize, 3, 9]
+            .map(Goal::TopK)
+            .into_iter()
+            .chain([5.0, 50.0].map(Goal::Range));
+        for goal in goals {
+            for kind in [QueryKind::Atsq, QueryKind::Oatsq] {
+                for q in queries(d) {
+                    assert_eq!(
+                        search(built, d, &q, kind, goal).unwrap(),
+                        search(loaded, d, &q, kind, goal).unwrap()
+                    );
+                }
             }
         }
     }
@@ -814,6 +813,7 @@ mod tests {
     #[test]
     fn sharded_cache_roundtrips_and_validates() {
         use crate::sharded::{Partition, ShardedEngine};
+        use atsq_types::QueryEngine;
         let d = dataset(40, 7);
         let cache = temp_cache("sharded");
         let (index, outcome) = cache.load_or_build(&d, small_config()).unwrap();
@@ -825,14 +825,8 @@ mod tests {
             assert!(outcome.loaded(), "{outcome:?}");
             let loaded = ShardedEngine::from_index(index, &d, shards, partition).unwrap();
             for q in queries(&d) {
-                assert_eq!(
-                    built.try_atsq(&d, &q, 5).unwrap(),
-                    loaded.try_atsq(&d, &q, 5).unwrap()
-                );
-                assert_eq!(
-                    built.try_oatsq(&d, &q, 5).unwrap(),
-                    loaded.try_oatsq(&d, &q, 5).unwrap()
-                );
+                assert_eq!(built.atsq(&d, &q, 5), loaded.atsq(&d, &q, 5));
+                assert_eq!(built.oatsq(&d, &q, 5), loaded.oatsq(&d, &q, 5));
             }
         }
         assert_eq!(

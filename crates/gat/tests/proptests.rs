@@ -6,8 +6,8 @@ use atsq_gat::tas::Sketch;
 use atsq_gat::{GatConfig, GatIndex};
 use atsq_matching::min_match_distance;
 use atsq_types::{
-    rank_top_k, ActivitySet, Dataset, DatasetBuilder, Point, Query, QueryPoint, QueryResult,
-    TrajectoryPoint,
+    rank_top_k, ActivitySet, Dataset, DatasetBuilder, Goal, Point, Query, QueryKind, QueryPoint,
+    QueryResult, TrajectoryPoint,
 };
 use proptest::prelude::*;
 
@@ -141,7 +141,8 @@ proptest! {
             },
         )
         .expect("index builds");
-        let got = atsq_gat::atsq(&idx, &dataset, &query, k);
+        let got = atsq_gat::search(&idx, &dataset, &query, QueryKind::Atsq, Goal::TopK(k))
+            .expect("ATSQ");
         let mut want = Vec::new();
         for tr in dataset.trajectories() {
             if let Some(d) = min_match_distance(&query, &tr.points) {
@@ -300,26 +301,18 @@ proptest! {
             for partition in [Partition::Hash, Partition::Spatial] {
                 let engine = ShardedEngine::build(&dataset, shards, partition)
                     .expect("sharded engine");
-                let got = engine.try_atsq(&dataset, &query, k).expect("ATSQ");
-                prop_assert_eq!(
-                    got, rank_top_k(dmm.clone(), k),
-                    "ATSQ diverged (S={}, {})", shards, partition
-                );
-                let got = engine.try_oatsq(&dataset, &query, k).expect("OATSQ");
-                prop_assert_eq!(
-                    got, rank_top_k(dmom.clone(), k),
-                    "OATSQ diverged (S={}, {})", shards, partition
-                );
-                let got = engine.try_atsq_range(&dataset, &query, tau).expect("range ATSQ");
-                prop_assert_eq!(
-                    got, within(&dmm),
-                    "range ATSQ diverged (S={}, {})", shards, partition
-                );
-                let got = engine.try_oatsq_range(&dataset, &query, tau).expect("range OATSQ");
-                prop_assert_eq!(
-                    got, within(&dmom),
-                    "range OATSQ diverged (S={}, {})", shards, partition
-                );
+                for (kind, goal, want) in [
+                    (QueryKind::Atsq, Goal::TopK(k), rank_top_k(dmm.clone(), k)),
+                    (QueryKind::Oatsq, Goal::TopK(k), rank_top_k(dmom.clone(), k)),
+                    (QueryKind::Atsq, Goal::Range(tau), within(&dmm)),
+                    (QueryKind::Oatsq, Goal::Range(tau), within(&dmom)),
+                ] {
+                    let got = engine.try_search(&dataset, &query, kind, goal).expect("search");
+                    prop_assert_eq!(
+                        got, want,
+                        "{:?} {:?} diverged (S={}, {})", kind, goal, shards, partition
+                    );
+                }
             }
         }
     }

@@ -6,8 +6,21 @@
 
 use atsq_gat::snapshot::{read_index, write_index, IndexCache};
 use atsq_gat::{GatConfig, GatIndex, Partition, ShardedEngine};
-use atsq_types::{ActivitySet, Dataset, DatasetBuilder, Point, Query, QueryPoint, TrajectoryPoint};
+use atsq_types::{
+    ActivitySet, Dataset, DatasetBuilder, Goal, Point, Query, QueryKind, QueryPoint,
+    TrajectoryPoint,
+};
 use proptest::prelude::*;
+
+/// The four query kinds: ATSQ and OATSQ, top-`k` and within `tau`.
+fn plans(k: usize, tau: f64) -> [(QueryKind, Goal); 4] {
+    [
+        (QueryKind::Atsq, Goal::TopK(k)),
+        (QueryKind::Oatsq, Goal::TopK(k)),
+        (QueryKind::Atsq, Goal::Range(tau)),
+        (QueryKind::Oatsq, Goal::Range(tau)),
+    ]
+}
 
 /// Random micro-dataset: up to 14 trajectories of up to 6 points over
 /// a 20-activity vocabulary in a 10 km plane.
@@ -76,26 +89,15 @@ proptest! {
         tau in 0.0f64..15.0,
         grid_level in 2u8..7,
     ) {
-        use atsq_gat::{atsq, atsq_range, oatsq, oatsq_range};
         let built = GatIndex::build_with(&dataset, small_config(grid_level)).expect("build");
         let bytes = write_index(&built, &dataset);
         let loaded = read_index(&bytes, &dataset).expect("load");
-        prop_assert_eq!(
-            atsq(&built, &dataset, &query, k),
-            atsq(&loaded, &dataset, &query, k)
-        );
-        prop_assert_eq!(
-            oatsq(&built, &dataset, &query, k),
-            oatsq(&loaded, &dataset, &query, k)
-        );
-        prop_assert_eq!(
-            atsq_range(&built, &dataset, &query, tau),
-            atsq_range(&loaded, &dataset, &query, tau)
-        );
-        prop_assert_eq!(
-            oatsq_range(&built, &dataset, &query, tau),
-            oatsq_range(&loaded, &dataset, &query, tau)
-        );
+        for (kind, goal) in plans(k, tau) {
+            prop_assert_eq!(
+                atsq_gat::search(&built, &dataset, &query, kind, goal).expect("search"),
+                atsq_gat::search(&loaded, &dataset, &query, kind, goal).expect("search")
+            );
+        }
     }
 }
 
@@ -129,22 +131,12 @@ proptest! {
             let index = cache.load_index(&dataset, &config).expect("load");
             let loaded = ShardedEngine::from_index(index, &dataset, shards, partition)
                 .expect("shard the loaded index");
-            prop_assert_eq!(
-                built.try_atsq(&dataset, &query, k).expect("ATSQ"),
-                loaded.try_atsq(&dataset, &query, k).expect("ATSQ")
-            );
-            prop_assert_eq!(
-                built.try_oatsq(&dataset, &query, k).expect("OATSQ"),
-                loaded.try_oatsq(&dataset, &query, k).expect("OATSQ")
-            );
-            prop_assert_eq!(
-                built.try_atsq_range(&dataset, &query, tau).expect("range ATSQ"),
-                loaded.try_atsq_range(&dataset, &query, tau).expect("range ATSQ")
-            );
-            prop_assert_eq!(
-                built.try_oatsq_range(&dataset, &query, tau).expect("range OATSQ"),
-                loaded.try_oatsq_range(&dataset, &query, tau).expect("range OATSQ")
-            );
+            for (kind, goal) in plans(k, tau) {
+                prop_assert_eq!(
+                    built.try_search(&dataset, &query, kind, goal).expect("search"),
+                    loaded.try_search(&dataset, &query, kind, goal).expect("search")
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

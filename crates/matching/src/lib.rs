@@ -5,7 +5,9 @@
 //!   and early termination of §V-D, plus an incremental variant used by
 //!   the order-sensitive dynamic program.
 //! * [`match_distance`] — `Dmm(Q, Tr)` via Lemma 1 (sum of per-point
-//!   `Dmpm`), and the best-match lower bound `Dbm` of Lemma 2.
+//!   `Dmpm`), the best-match lower bound `Dbm` of Lemma 2, and
+//!   [`candidate_distance`], the per-kind distance the baselines rank
+//!   candidates by.
 //! * [`order_match`] — Algorithm 4: the minimum order-sensitive match
 //!   distance `Dmom(Q, Tr)` (Definition 7) with the Eq. (1) dynamic
 //!   program, Lemma-4 monotonicity pruning and the `Dkmom` early exit,
@@ -28,7 +30,7 @@ pub mod order_match;
 pub mod point_match;
 pub mod witness;
 
-pub use match_distance::{best_match_distance, min_match_distance};
+pub use match_distance::{best_match_distance, candidate_distance, min_match_distance};
 pub use order_match::{min_order_match_distance, order_feasible};
 pub use point_match::{min_point_match_distance, CandidatePoint, IncrementalCover, QueryMask};
 pub use witness::{min_match_witness, min_order_match_witness, PointMatchWitness};

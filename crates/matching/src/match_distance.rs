@@ -1,8 +1,10 @@
-//! `Dmm(Q, Tr)` — the minimum match distance (Definition 6) — and the
-//! purely spatial best-match lower bound `Dbm` (Lemma 2).
+//! `Dmm(Q, Tr)` — the minimum match distance (Definition 6) — the
+//! purely spatial best-match lower bound `Dbm` (Lemma 2), and the
+//! per-kind candidate distance the baselines rank by.
 
+use crate::order_match::{min_order_match_distance, order_feasible};
 use crate::point_match::{candidate_points, dmpm_from_sorted_with, IncrementalCover, QueryMask};
-use atsq_types::{Query, TrajectoryPoint};
+use atsq_types::{Query, QueryKind, TrajectoryPoint};
 
 /// Minimum match distance `Dmm(Q, Tr)`.
 ///
@@ -19,6 +21,25 @@ pub fn min_match_distance(query: &Query, points: &[TrajectoryPoint]) -> Option<f
         total += dmpm_from_sorted_with(&mut table, &cp)?;
     }
     Some(total)
+}
+
+/// The distance a query of `kind` ranks a candidate by: `Dmm`, or
+/// `Dmom` behind the MIB pre-filter with `dk` (the caller's current
+/// k-th best or radius) as Algorithm 4's early-exit threshold; `Dmm`
+/// ignores `dk`. `None` when the trajectory is not a match.
+pub fn candidate_distance(
+    kind: QueryKind,
+    query: &Query,
+    points: &[TrajectoryPoint],
+    dk: f64,
+) -> Option<f64> {
+    match kind {
+        QueryKind::Atsq => min_match_distance(query, points),
+        QueryKind::Oatsq if order_feasible(query, points) => {
+            min_order_match_distance(query, points, dk)
+        }
+        QueryKind::Oatsq => None,
+    }
 }
 
 /// Best match distance `Dbm(Q, Tr) = Σ_q min_p d(q, p)` — the distance

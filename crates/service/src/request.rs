@@ -1,7 +1,7 @@
 //! The request/response vocabulary of the service, and cache-key
 //! canonicalisation.
 
-use atsq_types::{Query, QueryResult};
+use atsq_types::{Goal, Query, QueryKind, QueryResult};
 use std::sync::Arc;
 
 /// One query request: the paper's two query types plus their
@@ -59,18 +59,28 @@ impl Request {
         }
     }
 
+    /// What the request asks an engine for: the query kind and goal.
+    pub fn plan(&self) -> (QueryKind, Goal) {
+        match *self {
+            Request::Atsq { k, .. } => (QueryKind::Atsq, Goal::TopK(k)),
+            Request::Oatsq { k, .. } => (QueryKind::Oatsq, Goal::TopK(k)),
+            Request::AtsqRange { tau, .. } => (QueryKind::Atsq, Goal::Range(tau)),
+            Request::OatsqRange { tau, .. } => (QueryKind::Oatsq, Goal::Range(tau)),
+        }
+    }
+
     /// The canonical cache key for this request. Two requests that are
     /// guaranteed to produce identical results map to the same key; in
     /// particular the order-insensitive variants sort their stops, so
     /// any permutation of the same ATSQ hits the same cache line.
     pub fn cache_key(&self) -> CacheKey {
-        let (kind, query, param) = match self {
-            Request::Atsq { query, k } => (Kind::Atsq, query, *k as u64),
-            Request::Oatsq { query, k } => (Kind::Oatsq, query, *k as u64),
-            Request::AtsqRange { query, tau } => (Kind::AtsqRange, query, tau.to_bits()),
-            Request::OatsqRange { query, tau } => (Kind::OatsqRange, query, tau.to_bits()),
+        let (kind, goal) = self.plan();
+        let (range, param) = match goal {
+            Goal::TopK(k) => (false, k as u64),
+            Goal::Range(tau) => (true, tau.to_bits()),
         };
-        let mut stops: Vec<CanonicalStop> = query
+        let mut stops: Vec<CanonicalStop> = self
+            .query()
             .points
             .iter()
             .map(|p| {
@@ -82,20 +92,16 @@ impl Request {
                 }
             })
             .collect();
-        if matches!(kind, Kind::Atsq | Kind::AtsqRange) {
+        if kind == QueryKind::Atsq {
             stops.sort_unstable();
         }
-        CacheKey { kind, param, stops }
+        CacheKey {
+            kind,
+            range,
+            param,
+            stops,
+        }
     }
-}
-
-/// Request kind discriminant inside a [`CacheKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum Kind {
-    Atsq,
-    Oatsq,
-    AtsqRange,
-    OatsqRange,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,7 +116,9 @@ struct CanonicalStop {
 /// request kinds normalised to a sorted stop list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    kind: Kind,
+    kind: QueryKind,
+    /// Whether `param` is a radius rather than `k`.
+    range: bool,
     /// `k` for top-k requests, `tau.to_bits()` for range requests.
     param: u64,
     stops: Vec<CanonicalStop>,

@@ -784,12 +784,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn execute_single(job: &Job) -> Vec<QueryResult> {
     let (engine, ds) = (job.lease.engine().as_ref(), job.lease.dataset().as_ref());
-    match &job.request {
-        Request::Atsq { query, k } => engine.atsq(ds, query, *k),
-        Request::Oatsq { query, k } => engine.oatsq(ds, query, *k),
-        Request::AtsqRange { query, tau } => engine.atsq_range(ds, query, *tau),
-        Request::OatsqRange { query, tau } => engine.oatsq_range(ds, query, *tau),
-    }
+    let (kind, goal) = job.request.plan();
+    engine.search(ds, job.request.query(), kind, goal)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use crate::service::SubmitError;
 use crate::stats::StatsSnapshot;
 use atsq_obs::{SlowEntry, Stage};
 use atsq_types::{
-    ActivityId, ActivitySet, Dataset, Point, Query, QueryPoint, QueryResult, TrajectoryId,
+    ActivityId, ActivitySet, Dataset, Goal, Point, Query, QueryPoint, QueryResult, TrajectoryId,
 };
 use std::time::Duration;
 
@@ -281,14 +281,10 @@ pub fn encode_request_for_city(
     if let Some(city) = city {
         members.push(("city", Value::Str(city.into())));
     }
-    match request {
-        Request::Atsq { k, .. } | Request::Oatsq { k, .. } => {
-            members.push(("k", Value::Num(*k as f64)));
-        }
-        Request::AtsqRange { tau, .. } | Request::OatsqRange { tau, .. } => {
-            members.push(("tau", Value::Num(*tau)));
-        }
-    }
+    members.push(match request.plan().1 {
+        Goal::TopK(k) => ("k", Value::Num(k as f64)),
+        Goal::Range(tau) => ("tau", Value::Num(tau)),
+    });
     if let Some(d) = deadline {
         members.push(("deadline_ms", Value::Num(d.as_millis() as f64)));
     }

@@ -1,6 +1,7 @@
-//! Property tests: ActivitySet algebra laws and geometry invariants.
+//! Property tests: ActivitySet algebra laws, geometry invariants, and
+//! the result sink every engine collects into.
 
-use atsq_types::{ActivitySet, Point, Rect};
+use atsq_types::{rank_top_k, ActivitySet, Goal, Point, QueryResult, Rect, Sink, TrajectoryId};
 use proptest::prelude::*;
 
 fn arb_set() -> impl Strategy<Value = ActivitySet> {
@@ -77,5 +78,55 @@ proptest! {
         );
         prop_assert!(r.min_dist(&p) <= p.dist(&inside) + 1e-9);
         prop_assert!(r.max_dist(&p) + 1e-9 >= p.dist(&inside));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever order candidates arrive in, with tied distances and
+    /// `k` beyond the number offered, the sink keeps exactly what
+    /// `rank_top_k` would over the same pairs, and its live cutoff is
+    /// never below the final k-th distance (or the radius) — so
+    /// pruning strictly against it never drops an answer.
+    #[test]
+    fn sink_matches_rank_top_k_in_any_order(
+        // Trajectory `i` gets distance `ties[i].0 / 2` (few values, so
+        // many ties) and arrives in the order of `ties[i].1`.
+        ties in prop::collection::vec((0u8..6, any::<u32>()), 0..30),
+        k in 0usize..40,
+        tau_halves in 0u8..7,
+    ) {
+        let mut offers: Vec<(u32, f64, TrajectoryId)> = ties
+            .iter()
+            .enumerate()
+            .map(|(i, &(d, order))| (order, f64::from(d) / 2.0, TrajectoryId(i as u32)))
+            .collect();
+        offers.sort_by_key(|&(order, _, id)| (order, id));
+        let all: Vec<QueryResult> = offers
+            .iter()
+            .map(|&(_, d, id)| QueryResult::new(id, d))
+            .collect();
+        let tau = f64::from(tau_halves) / 2.0;
+        for goal in [Goal::TopK(k), Goal::Range(tau)] {
+            let want = match goal {
+                Goal::TopK(k) => rank_top_k(all.clone(), k),
+                Goal::Range(tau) => {
+                    rank_top_k(all.iter().filter(|r| r.distance <= tau).cloned().collect(), usize::MAX)
+                }
+            };
+            let floor = match goal {
+                Goal::TopK(k) if k > 0 && want.len() == k => want[k - 1].distance,
+                Goal::TopK(_) => f64::INFINITY,
+                Goal::Range(tau) => tau,
+            };
+            let mut sink = Sink::new(goal, offers.len());
+            prop_assert!(sink.cutoff() >= floor);
+            for &(_, d, id) in &offers {
+                sink.offer(d, id);
+                prop_assert!(sink.cutoff() >= floor, "{:?}: {} < {}", goal, sink.cutoff(), floor);
+            }
+            prop_assert_eq!(sink.finish(), want, "{:?}", goal);
+        }
     }
 }

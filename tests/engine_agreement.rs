@@ -1,34 +1,40 @@
-//! Cross-engine agreement: all four engines (IL, RT, IRT, GAT) must
-//! return identical top-k results for both ATSQ and OATSQ on arbitrary
-//! generated workloads, and all must agree with a brute-force scan
-//! that evaluates every trajectory with the distance kernels.
+//! Cross-engine agreement: all four engines (IL, RT, IRT, GAT) and the
+//! sharded GAT engine must return identical top-k and range results
+//! for both ATSQ and OATSQ on arbitrary generated workloads, and all
+//! must agree with a brute-force scan that evaluates every trajectory
+//! with the distance kernels — including goals at the edges: `k` of
+//! 0, 1, `n` and `usize::MAX`, and a NaN, negative, zero or infinite
+//! radius.
 
-use atsq_core::{Engine, QueryEngine};
+use atsq_core::{Engine, Goal, Partition, QueryEngine, QueryKind};
 use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
 use atsq_matching::min_match_distance;
 use atsq_matching::order_match::min_order_match_distance;
 use atsq_types::{rank_top_k, Dataset, Query, QueryResult};
 
-/// Exhaustive oracle for ATSQ.
-fn scan_atsq(dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
+const KINDS: [QueryKind; 2] = [QueryKind::Atsq, QueryKind::Oatsq];
+
+/// Exhaustive oracle: every match of `kind`, ranked.
+fn scan(dataset: &Dataset, query: &Query, kind: QueryKind) -> Vec<QueryResult> {
     let mut res = Vec::new();
     for tr in dataset.trajectories() {
-        if let Some(d) = min_match_distance(query, &tr.points) {
+        let d = match kind {
+            QueryKind::Atsq => min_match_distance(query, &tr.points),
+            QueryKind::Oatsq => min_order_match_distance(query, &tr.points, f64::INFINITY),
+        };
+        if let Some(d) = d {
             res.push(QueryResult::new(tr.id, d));
         }
     }
-    rank_top_k(res, k)
+    rank_top_k(res, usize::MAX)
 }
 
-/// Exhaustive oracle for OATSQ.
-fn scan_oatsq(dataset: &Dataset, query: &Query, k: usize) -> Vec<QueryResult> {
-    let mut res = Vec::new();
-    for tr in dataset.trajectories() {
-        if let Some(d) = min_order_match_distance(query, &tr.points, f64::INFINITY) {
-            res.push(QueryResult::new(tr.id, d));
-        }
-    }
-    rank_top_k(res, k)
+/// Every paper engine plus the sharded GAT engine at S = 3.
+fn engines(dataset: &Dataset) -> Vec<Engine> {
+    let mut engines = Engine::build_all(dataset).unwrap();
+    let (sharded, _) = Engine::build_gat(dataset, 3, Partition::Hash, None).unwrap();
+    engines.push(sharded);
+    engines
 }
 
 /// Compares result lists with distance tolerance (engines may compute
@@ -49,7 +55,8 @@ fn assert_results_eq(a: &[QueryResult], b: &[QueryResult], ctx: &str) {
 
 fn check_city(city: CityConfig, seeds: &[u64]) {
     let dataset = generate(&city).unwrap();
-    let engines = Engine::build_all(&dataset).unwrap();
+    let engines = engines(&dataset);
+    let n = dataset.len();
     for &seed in seeds {
         for (qp, apq) in [(2usize, 2usize), (3, 1), (4, 3)] {
             let queries = generate_queries(
@@ -64,24 +71,18 @@ fn check_city(city: CityConfig, seeds: &[u64]) {
                 3,
             );
             for (qi, q) in queries.iter().enumerate() {
-                for k in [1usize, 5, 9] {
-                    let want = scan_atsq(&dataset, q, k);
-                    for e in &engines {
-                        let got = e.atsq(&dataset, q, k);
-                        assert_results_eq(
-                            &got,
-                            &want,
-                            &format!("{} atsq seed={seed} q#{qi} k={k}", e.name()),
-                        );
-                    }
-                    let want_o = scan_oatsq(&dataset, q, k);
-                    for e in &engines {
-                        let got = e.oatsq(&dataset, q, k);
-                        assert_results_eq(
-                            &got,
-                            &want_o,
-                            &format!("{} oatsq seed={seed} q#{qi} k={k}", e.name()),
-                        );
+                for kind in KINDS {
+                    let all = scan(&dataset, q, kind);
+                    for k in [0usize, 1, 5, 9, n, usize::MAX] {
+                        let want = &all[..k.min(all.len())];
+                        for e in &engines {
+                            let got = e.search(&dataset, q, kind, Goal::TopK(k));
+                            assert_results_eq(
+                                &got,
+                                want,
+                                &format!("{} {kind:?} seed={seed} q#{qi} k={k}", e.name()),
+                            );
+                        }
                     }
                 }
             }
@@ -121,7 +122,7 @@ fn engines_agree_with_diameter_control() {
             3,
         );
         for q in &queries {
-            let want = scan_atsq(&dataset, q, 5);
+            let want = rank_top_k(scan(&dataset, q, QueryKind::Atsq), 5);
             for e in &engines {
                 assert_results_eq(&e.atsq(&dataset, q, 5), &want, e.name());
             }
@@ -149,33 +150,29 @@ fn top_k_is_prefix_of_top_k_plus_one() {
 #[test]
 fn range_queries_agree_with_oracle() {
     let dataset = generate(&CityConfig::tiny(202)).unwrap();
-    let engines = Engine::build_all(&dataset).unwrap();
+    let engines = engines(&dataset);
     let queries = generate_queries(&dataset, &QueryGenConfig::default(), 4);
     for q in &queries {
         // Pick radii from actual result distances to exercise both
-        // empty and populous ranges.
-        let all = scan_atsq(&dataset, q, usize::MAX);
-        let radii: Vec<f64> = [0.0, 0.5, 2.0]
-            .iter()
-            .copied()
-            .chain(all.get(2).map(|r| r.distance + 1e-9))
+        // empty and populous ranges, plus the edges: a NaN or negative
+        // radius admits nothing and an infinite one every match.
+        let radii: Vec<f64> = [f64::NAN, -1.0, 0.0, 0.5, 2.0, f64::INFINITY]
+            .into_iter()
+            .chain(
+                scan(&dataset, q, QueryKind::Atsq)
+                    .get(2)
+                    .map(|r| r.distance + 1e-9),
+            )
             .collect();
-        for tau in radii {
-            let want: Vec<QueryResult> =
-                all.iter().filter(|r| r.distance <= tau).cloned().collect();
-            for e in &engines {
-                let got = e.atsq_range(&dataset, q, tau);
-                assert_results_eq(&got, &want, &format!("{} atsq_range τ={tau}", e.name()));
-            }
-            let all_o = scan_oatsq(&dataset, q, usize::MAX);
-            let want_o: Vec<QueryResult> = all_o
-                .iter()
-                .filter(|r| r.distance <= tau)
-                .cloned()
-                .collect();
-            for e in &engines {
-                let got = e.oatsq_range(&dataset, q, tau);
-                assert_results_eq(&got, &want_o, &format!("{} oatsq_range τ={tau}", e.name()));
+        for kind in KINDS {
+            let all = scan(&dataset, q, kind);
+            for &tau in &radii {
+                let want: Vec<QueryResult> =
+                    all.iter().filter(|r| r.distance <= tau).cloned().collect();
+                for e in &engines {
+                    let got = e.search(&dataset, q, kind, Goal::Range(tau));
+                    assert_results_eq(&got, &want, &format!("{} {kind:?} τ={tau}", e.name()));
+                }
             }
         }
     }
@@ -185,7 +182,7 @@ fn range_queries_agree_with_oracle() {
 #[test]
 fn range_query_edge_radii() {
     let dataset = generate(&CityConfig::tiny(203)).unwrap();
-    let engines = Engine::build_all(&dataset).unwrap();
+    let engines = engines(&dataset);
     let q = &generate_queries(&dataset, &QueryGenConfig::default(), 1)[0];
     for e in &engines {
         assert!(e.atsq_range(&dataset, q, -1.0).is_empty(), "{}", e.name());

@@ -7,7 +7,12 @@ use atsq_datagen::{generate, generate_queries, CityConfig, QueryGenConfig};
 use atsq_gat::{GatConfig, GatIndex};
 use atsq_matching::min_match_distance;
 use atsq_rtree::RTree;
-use atsq_types::{Dataset, Rect};
+use atsq_types::{Dataset, Goal, Query, QueryKind, QueryResult, Rect};
+
+/// GAT's answer over `idx`.
+fn gat(idx: &GatIndex, d: &Dataset, q: &Query, kind: QueryKind, goal: Goal) -> Vec<QueryResult> {
+    atsq_gat::search(idx, d, q, kind, goal).unwrap()
+}
 
 fn dataset() -> Dataset {
     generate(&CityConfig::tiny(31)).unwrap()
@@ -148,7 +153,7 @@ fn gat_results_lower_bounded_by_construction() {
     let idx = index(&d);
     let queries = generate_queries(&d, &QueryGenConfig::default(), 5);
     for q in &queries {
-        for r in atsq_gat::atsq(&idx, &d, q, 10) {
+        for r in gat(&idx, &d, q, QueryKind::Atsq, Goal::TopK(10)) {
             let exact = min_match_distance(q, &d.trajectory(r.trajectory).points)
                 .expect("reported result must be a match");
             assert!(
@@ -241,13 +246,13 @@ fn grid_level_does_not_change_results() {
         .unwrap();
         for q in &queries {
             assert_eq!(
-                atsq_gat::atsq(&idx, &d, q, 5),
-                atsq_gat::atsq(&reference, &d, q, 5),
+                gat(&idx, &d, q, QueryKind::Atsq, Goal::TopK(5)),
+                gat(&reference, &d, q, QueryKind::Atsq, Goal::TopK(5)),
                 "results changed at grid depth {depth}"
             );
             assert_eq!(
-                atsq_gat::oatsq(&idx, &d, q, 5),
-                atsq_gat::oatsq(&reference, &d, q, 5),
+                gat(&idx, &d, q, QueryKind::Oatsq, Goal::TopK(5)),
+                gat(&reference, &d, q, QueryKind::Oatsq, Goal::TopK(5)),
                 "ordered results changed at grid depth {depth}"
             );
         }
@@ -313,7 +318,7 @@ fn tight_bound_is_sound_under_tiny_frontier_budget() {
                 },
             )
             .unwrap();
-            let got = atsq_gat::atsq(&idx, &d, &q, 5);
+            let got = gat(&idx, &d, &q, QueryKind::Atsq, Goal::TopK(5));
             assert_eq!(got, want, "lb_cells={lb_cells} λ={lambda}");
         }
     }
@@ -418,25 +423,29 @@ fn frontier_ties_keep_answers_exact() {
                 let case = format!("lb_cells={lb_cells} λ={lambda} tight={tight_lower_bound}");
                 for k in [1usize, 5, 12] {
                     let want: Vec<_> = dmm.iter().take(k).cloned().collect();
-                    assert_eq!(atsq_gat::atsq(&idx, &d, &q, k), want, "ATSQ k={k} {case}");
+                    assert_eq!(
+                        gat(&idx, &d, &q, QueryKind::Atsq, Goal::TopK(k)),
+                        want,
+                        "ATSQ k={k} {case}"
+                    );
                     let want: Vec<_> = dmom.iter().take(k).cloned().collect();
-                    assert_eq!(atsq_gat::oatsq(&idx, &d, &q, k), want, "OATSQ k={k} {case}");
+                    assert_eq!(
+                        gat(&idx, &d, &q, QueryKind::Oatsq, Goal::TopK(k)),
+                        want,
+                        "OATSQ k={k} {case}"
+                    );
                 }
                 // Radii equal to an answer's distance put ties on the
                 // boundary, which a range query must include.
-                for (results, ordered) in [(&dmm, false), (&dmom, true)] {
+                for (results, kind) in [(&dmm, QueryKind::Atsq), (&dmom, QueryKind::Oatsq)] {
                     for tau in [results[0].distance, results[results.len() / 3].distance] {
                         let want: Vec<_> = results
                             .iter()
                             .filter(|r| r.distance <= tau)
                             .cloned()
                             .collect();
-                        let got = if ordered {
-                            atsq_gat::oatsq_range(&idx, &d, &q, tau)
-                        } else {
-                            atsq_gat::atsq_range(&idx, &d, &q, tau)
-                        };
-                        assert_eq!(got, want, "range τ={tau} ordered={ordered} {case}");
+                        let got = gat(&idx, &d, &q, kind, Goal::Range(tau));
+                        assert_eq!(got, want, "range τ={tau} {kind:?} {case}");
                     }
                 }
             }
