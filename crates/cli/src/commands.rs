@@ -452,6 +452,10 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ),
         city_inflight_cap: f.num("city-cap", defaults.city_inflight_cap)?,
     };
+    if config.workers == 0 {
+        // Nothing would answer: every request would queue up forever.
+        return Err(CliError::Usage("serve needs --workers >= 1".into()));
+    }
     let duration_s: u64 = f.num("duration-s", 0)?;
     let workers = config.workers;
     let sharding = if shards > 1 {
@@ -1370,6 +1374,15 @@ u2,34.10,-118.30,20,hiking with a view
             Err(CliError::Usage(msg)) => assert!(msg.contains("--k"), "{msg}"),
             other => panic!("want the --k usage error, got {other:?}"),
         }
+        // So is `serve --workers 0`, which nothing would ever answer.
+        let err = run(
+            &sv(&["serve", "--data", "/nonexistent", "--workers", "0"]),
+            &mut out,
+        );
+        assert!(
+            matches!(&err, Err(CliError::Usage(m)) if m.contains("--workers")),
+            "{err:?}"
+        );
         // help works
         run(&sv(&["help"]), &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("USAGE"));

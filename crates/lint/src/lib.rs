@@ -35,8 +35,9 @@
 //!    that re-checks its predicate. A wakeup is a hint, not a proof:
 //!    `notify_all` wakes every waiter, the mutex is re-acquired only
 //!    after rivals may have consumed the state, and spurious wakeups
-//!    are legal (`atsq-model` injects them deliberately to break
-//!    wait-once callers).
+//!    are legal (`atsq-tenant`'s
+//!    `spurious_wakeups_do_not_break_single_flight` injects them to
+//!    break wait-once callers).
 //! 6. **`unsafe-needs-safety-comment`** — every `unsafe` keyword
 //!    (block, fn, impl) needs a `// SAFETY:` comment on the same line
 //!    or just above it, recording the proof obligation at the point

@@ -1,16 +1,13 @@
-//! `atsq-model` — a loom-lite exhaustive interleaving checker.
+//! `atsq-model` — an empty crate.
 //!
-//! The checker (`check`, compiled under the `check` cargo feature)
-//! drives faithful ports of the workspace's critical sections —
-//! single-flight loading, lease pinning, the bounded queue, counter
-//! scopes — through every bounded interleaving:
+//! It used to hold an exhaustive interleaving checker that explored
+//! hand-written copies of the registry, queue and counter-sink
+//! critical sections. Those properties are now tested on the real
+//! types, by the `stress_*` tests in `atsq-tenant`, `atsq-service` and
+//! `atsq-obs`, so the checker is gone.
 //!
-//! ```text
-//! cargo test -p atsq-model --features check
-//! ```
-//!
-//! What the checker models (and what it does not) is documented on
-//! the `check` module.
-
-#[cfg(feature = "check")]
-pub mod check;
+//! The crate survives only as a dependency edge: `atsq-gat`,
+//! `atsq-obs`, `atsq-service` and `atsq-tenant` still name it, and the
+//! benchmark package's lock file records those edges, so removing it
+//! changes that lock file. The directory and the four edges go
+//! together with the next change to the benchmark's lock file.

@@ -373,29 +373,41 @@ mod tests {
         assert_eq!(outer.counters().candidates, 4);
     }
 
+    /// Enough threads × scopes to contend on one shared sink: no
+    /// flush is lost.
     #[test]
-    fn sink_propagates_across_threads() {
+    fn stress_sink_propagates_across_threads() {
+        const THREADS: u64 = 4;
+        const SCOPES: u64 = 2_000;
         let sink = CounterSink::new();
         {
             let _scope = CounterScope::enter(sink.clone());
             record_candidate();
             let shared = current_sink().expect("active scope");
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let shared = shared.clone();
-                    scope.spawn(move || {
-                        let _s = CounterScope::enter(shared);
+            let (done, finished) = std::sync::mpsc::channel();
+            for _ in 0..THREADS {
+                let (shared, done) = (shared.clone(), done.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..SCOPES {
+                        let _s = CounterScope::enter(shared.clone());
                         record_candidate();
                         record_distance_eval();
                         record_shard_busy(1, 10);
-                    });
-                }
-            });
+                    }
+                    done.send(()).unwrap();
+                });
+            }
+            // A panicking thread drops its sender; a hung one times out.
+            drop(done);
+            for _ in 0..THREADS {
+                let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+                waited.expect("a stress thread failed");
+            }
         }
         let c = sink.counters();
-        assert_eq!(c.candidates, 5);
-        assert_eq!(c.distance_evals, 4);
-        assert_eq!(sink.shard_busy_ns(), vec![0, 40]);
+        assert_eq!(c.candidates, THREADS * SCOPES + 1, "flushes lost");
+        assert_eq!(c.distance_evals, THREADS * SCOPES, "flushes lost");
+        assert_eq!(sink.shard_busy_ns(), vec![0, 10 * THREADS * SCOPES]);
     }
 
     #[test]

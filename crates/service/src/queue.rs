@@ -108,7 +108,8 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn fifo_and_batch_sizes() {
@@ -143,51 +144,74 @@ mod tests {
         assert_eq!(q.pop_batch(8), None);
     }
 
+    /// Producers retry a small queue until it takes each item while
+    /// consumers drain it in batches: every accepted item comes out
+    /// exactly once, and a `Full` refusal leaves nothing behind.
     #[test]
-    fn concurrent_producers_consumers_deliver_everything() {
-        let q = Arc::new(BoundedQueue::new(64));
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    for i in 0..250u32 {
-                        let v = p * 1000 + i;
-                        loop {
-                            match q.try_push(v) {
-                                Ok(()) => break,
-                                Err(PushError::Full(_)) => std::thread::yield_now(),
-                                Err(PushError::Closed(_)) => panic!("closed early"),
-                            }
+    fn stress_concurrent_producers_consumers_deliver_everything() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let (delivered, consumed) = mpsc::channel();
+        for _ in 0..3 {
+            let (q, delivered) = (q.clone(), delivered.clone());
+            std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while let Some(batch) = q.pop_batch(7) {
+                    got.extend(batch);
+                }
+                delivered.send(got).unwrap();
+            });
+        }
+        let (pushed, produced) = mpsc::channel();
+        for p in 0..4 {
+            let (q, pushed) = (q.clone(), pushed.clone());
+            std::thread::spawn(move || {
+                for v in p * 2000..(p + 1) * 2000 {
+                    loop {
+                        match q.try_push(v) {
+                            Ok(()) => break,
+                            Err(PushError::Full(_)) => std::thread::yield_now(),
+                            Err(PushError::Closed(_)) => panic!("closed early"),
                         }
                     }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(batch) = q.pop_batch(7) {
-                        got.extend(batch);
-                    }
-                    got
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
+                }
+                pushed.send(()).unwrap();
+            });
+        }
+        // A panicking thread drops its sender; a hung one times out.
+        drop((delivered, pushed));
+        let limit = Duration::from_secs(10);
+        for _ in 0..4 {
+            produced.recv_timeout(limit).expect("a producer failed");
         }
         q.close();
-        let mut all: Vec<u32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
+        let mut all: Vec<u32> = (0..3)
+            .flat_map(|_| consumed.recv_timeout(limit).expect("a consumer failed"))
             .collect();
         all.sort_unstable();
-        let mut want: Vec<u32> = (0..4)
-            .flat_map(|p| (0..250).map(move |i| p * 1000 + i))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(all, want);
+        let want: Vec<u32> = (0..8000).collect();
+        assert_eq!(all, want, "delivered items differ from accepted items");
+    }
+
+    /// `close` wakes every consumer parked in `pop_batch` on an empty
+    /// queue, and each of them sees `None`.
+    #[test]
+    fn stress_close_wakes_every_blocked_consumer() {
+        for _ in 0..20 {
+            let q = Arc::new(BoundedQueue::<u32>::new(4));
+            let (done, finished) = mpsc::channel();
+            for _ in 0..8 {
+                let (q, done) = (q.clone(), done.clone());
+                std::thread::spawn(move || {
+                    let _ = done.send(q.pop_batch(2));
+                });
+            }
+            // Most consumers park meanwhile; a late one sees the flag.
+            std::thread::sleep(Duration::from_millis(5));
+            q.close();
+            for _ in 0..8 {
+                let popped = finished.recv_timeout(Duration::from_secs(2));
+                assert_eq!(popped.expect("a consumer stayed blocked"), None);
+            }
+        }
     }
 }

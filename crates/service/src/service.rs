@@ -314,6 +314,9 @@ impl Drop for Service {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // Drop the jobs no worker took, releasing their leases and reply
+        // senders; the queue is closed, so this cannot block.
+        while self.shared.queue.pop_batch(usize::MAX).is_some() {}
     }
 }
 
@@ -337,8 +340,8 @@ impl Ticket {
         self.id
     }
 
-    /// Blocks until the response arrives. `None` only if the service
-    /// was torn down without draining (workers panicked).
+    /// Blocks until the response arrives. `None` if the service shut
+    /// down without executing the request (no workers, or they panicked).
     pub fn wait(self) -> Option<Response> {
         self.rx.recv().ok().map(|r| r.response)
     }
@@ -902,13 +905,17 @@ mod tests {
             query: queries[i % queries.len()].clone(),
             k: 3,
         };
-        let _t1 = handle.submit(req(0)).unwrap();
+        let t1 = handle.submit(req(0)).unwrap();
         let _t2 = handle.submit(req(1)).unwrap();
         assert_eq!(handle.submit(req(2)).unwrap_err(), SubmitError::QueueFull);
         let snap = handle.stats();
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.queue_depth, 2);
         service.shutdown();
+        // The jobs no worker took went with the service: no lease pins
+        // the city, checked before a wait that would block on a leak.
+        assert_eq!(handle.cities()[0].inflight, 0);
+        assert!(t1.wait().is_none());
     }
 
     #[test]

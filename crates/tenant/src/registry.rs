@@ -760,6 +760,7 @@ mod tests {
     use super::*;
     use atsq_datagen::CityConfig;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::thread;
     use std::time::Duration;
 
@@ -874,6 +875,64 @@ mod tests {
         // ordering: Relaxed — all threads joined; test-only read.
         assert_eq!(builds.load(Ordering::Relaxed), 1);
         assert_eq!(registry.state(&id("a")), Some(TenantState::Ready));
+    }
+
+    /// Leases pin their city under eviction pressure: two threads
+    /// resolve, check and drop leases across three cities under a
+    /// one-byte budget, so most resolves load a city and evict every
+    /// idle one, while a third thread unloads cities.
+    #[test]
+    fn stress_leases_pin_cities_under_eviction() {
+        const THREADS: usize = 3;
+        const RACE: Duration = Duration::from_secs(1);
+        let names = ["a", "b", "c"];
+        let registry = Arc::new(CityRegistry::new(id("a"), Some(1)));
+        for (i, name) in names.iter().enumerate() {
+            let dataset = tiny_dataset(30 + i as u64);
+            let engine = Arc::new(Engine::Il(atsq_core::IlEngine::build(&dataset)));
+            // Unloaded, so that first resolves load and the eviction
+            // pass runs from the start.
+            registry
+                .add_resident(id(name), dataset, engine, false)
+                .unwrap();
+            registry.unload(&id(name)).unwrap();
+        }
+        // The threads race for a fixed time rather than a fixed number
+        // of rounds, so the test takes as long on any host.
+        let stop = Instant::now() + RACE;
+        let (done, finished) = mpsc::channel();
+        for t in 0..THREADS {
+            let (registry, done) = (Arc::clone(&registry), done.clone());
+            thread::spawn(move || {
+                for round in (0..).take_while(|_| Instant::now() < stop) {
+                    let city = id(names[(t + round) % names.len()]);
+                    if t == THREADS - 1 {
+                        // Like the budget pass, `unload` must skip a
+                        // leased city.
+                        let _ = registry.unload(&city);
+                        continue;
+                    }
+                    let lease = registry.resolve(&city).unwrap();
+                    let cities = registry.cities();
+                    let info = cities.iter().find(|c| c.city == city).unwrap();
+                    let pinned = info.state == TenantState::Ready && info.inflight >= 1;
+                    assert!(pinned, "a lease on `{city}` did not pin it: {info:?}");
+                    drop(lease);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        drop(done);
+        for _ in 0..THREADS {
+            // A panicking thread drops its sender; a hung one times out.
+            finished
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a stress thread failed");
+        }
+        assert!(
+            registry.cities().iter().any(|c| c.evictions > 0),
+            "nothing was evicted"
+        );
     }
 
     #[test]
