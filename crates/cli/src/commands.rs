@@ -419,7 +419,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "addr",
             "workers",
             "queue",
-            "batch",
             "cache",
             "deadline-ms",
             "duration-s",
@@ -436,7 +435,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let config = ServiceConfig {
         workers: f.num("workers", defaults.workers)?,
         queue_capacity: f.num("queue", defaults.queue_capacity)?,
-        batch_size: f.num("batch", defaults.batch_size)?,
         cache_capacity: f.num("cache", defaults.cache_capacity)?,
         default_deadline: match f.get("deadline-ms") {
             None => None,
@@ -1381,6 +1379,15 @@ u2,34.10,-118.30,20,hiking with a view
         );
         assert!(
             matches!(&err, Err(CliError::Usage(m)) if m.contains("--workers")),
+            "{err:?}"
+        );
+        // An unknown flag such as `--batch` is refused before any load.
+        let err = run(
+            &sv(&["serve", "--batch", "4", "--data", "/nonexistent"]),
+            &mut out,
+        );
+        assert!(
+            matches!(&err, Err(CliError::Usage(m)) if m.contains("unknown flag `--batch`")),
             "{err:?}"
         );
         // help works

@@ -20,16 +20,15 @@ pub enum Stage {
     Admission = 0,
     /// Waiting in the bounded queue for a worker.
     Queue = 1,
-    /// Deadline check and result-cache lookup at batch admission.
+    /// Deadline check and result-cache lookup.
     Cache = 2,
-    /// Waiting behind the earlier cache misses of the same drained
-    /// batch, which execute one after another in submission order.
+    /// From the cache miss to the start of engine execution (close to
+    /// zero: the worker runs the miss at once).
     Assembly = 3,
     /// Engine execution.
     Engine = 4,
-    /// From execution end (or cache hit) to the reply send. For
-    /// requests coalesced onto an in-batch duplicate this includes the
-    /// wait for the primary's execution.
+    /// From execution end (or cache hit) to the reply send, including
+    /// a miss's cache insert.
     Reply = 5,
 }
 

@@ -10,17 +10,16 @@
 //! **bounded request queue**:
 //!
 //! ```text
-//!  clients ──submit──▶ BoundedQueue ──pop_batch──▶ workers ──▶ tickets
-//!        ▲ admission       │                        │  ▲
-//!        │ control         └── queue overflow ⇒     │  └─ LRU result
-//!        │ (QueueFull)         rejected             │     cache
-//!        └──────────────────── deadline expiry ◀────┘
+//!  clients ──submit──▶ BoundedQueue ──pop──▶ workers ──▶ tickets
+//!        ▲ admission       │                  │  ▲
+//!        │ control         └── queue overflow │  └─ LRU result
+//!        │ (QueueFull)         ⇒ rejected     │     cache
+//!        └──────────────── deadline expiry ◀──┘
 //! ```
 //!
-//! * **Batched draining** — workers drain up to `batch_size` requests
-//!   at once (one queue/cache pass per batch), coalesce duplicates of
-//!   the same canonical query into a single execution, and run each
-//!   remaining cache miss through the engine one after another.
+//! * **One job per pass** — a worker takes one request from the queue
+//!   and carries it to its reply: deadline check, cache probe, and on
+//!   a miss an engine run and a cache insert.
 //! * **Result cache** — an LRU keyed by a canonicalised query
 //!   ([`CacheKey`]): order-insensitive requests hash identically no
 //!   matter how the stops are permuted.

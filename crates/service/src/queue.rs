@@ -1,4 +1,4 @@
-//! A bounded multi-producer multi-consumer queue with batch pops.
+//! A bounded multi-producer multi-consumer queue.
 //!
 //! `Mutex<VecDeque>` + `Condvar` — deliberately simple. The queue is
 //! the service's admission-control point: producers never block
@@ -74,21 +74,14 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one item is available, then drains up to
-    /// `max` items in FIFO order. Returns `None` once the queue is
-    /// closed **and** empty — the consumer's signal to exit.
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        let max = max.max(1);
+    /// Blocks until an item is available and takes the oldest. Returns
+    /// `None` once the queue is closed **and** empty — the consumer's
+    /// signal to exit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock();
         loop {
-            if !inner.items.is_empty() {
-                let n = inner.items.len().min(max);
-                let batch: Vec<T> = inner.items.drain(..n).collect();
-                if !inner.items.is_empty() {
-                    // More work remains: wake another consumer.
-                    self.available.notify_one();
-                }
-                return Some(batch);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -112,14 +105,14 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn fifo_and_batch_sizes() {
+    fn pops_in_fifo_order() {
         let q = BoundedQueue::new(10);
         for i in 0..7 {
             q.try_push(i).unwrap();
         }
         assert_eq!(q.len(), 7);
-        assert_eq!(q.pop_batch(3), Some(vec![0, 1, 2]));
-        assert_eq!(q.pop_batch(100), Some(vec![3, 4, 5, 6]));
+        let popped: Vec<i32> = (0..7).filter_map(|_| q.pop()).collect();
+        assert_eq!(popped, vec![0, 1, 2, 3, 4, 5, 6]);
         assert!(q.is_empty());
     }
 
@@ -130,7 +123,7 @@ mod tests {
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.capacity(), 2);
-        q.pop_batch(1);
+        assert_eq!(q.pop(), Some(1));
         q.try_push(3).unwrap();
     }
 
@@ -140,13 +133,13 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
-        assert_eq!(q.pop_batch(8), Some(vec![1]));
-        assert_eq!(q.pop_batch(8), None);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
     }
 
     /// Producers retry a small queue until it takes each item while
-    /// consumers drain it in batches: every accepted item comes out
-    /// exactly once, and a `Full` refusal leaves nothing behind.
+    /// consumers drain it: every accepted item comes out exactly once,
+    /// and a `Full` refusal leaves nothing behind.
     #[test]
     fn stress_concurrent_producers_consumers_deliver_everything() {
         let q = Arc::new(BoundedQueue::new(4));
@@ -155,8 +148,8 @@ mod tests {
             let (q, delivered) = (q.clone(), delivered.clone());
             std::thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some(batch) = q.pop_batch(7) {
-                    got.extend(batch);
+                while let Some(v) = q.pop() {
+                    got.push(v);
                 }
                 delivered.send(got).unwrap();
             });
@@ -192,7 +185,7 @@ mod tests {
         assert_eq!(all, want, "delivered items differ from accepted items");
     }
 
-    /// `close` wakes every consumer parked in `pop_batch` on an empty
+    /// `close` wakes every consumer parked in `pop` on an empty
     /// queue, and each of them sees `None`.
     #[test]
     fn stress_close_wakes_every_blocked_consumer() {
@@ -202,7 +195,7 @@ mod tests {
             for _ in 0..8 {
                 let (q, done) = (q.clone(), done.clone());
                 std::thread::spawn(move || {
-                    let _ = done.send(q.pop_batch(2));
+                    let _ = done.send(q.pop());
                 });
             }
             // Most consumers park meanwhile; a late one sees the flag.

@@ -216,11 +216,6 @@ fn respond_control(message: wire::ClientMessage, handle: &ServiceHandle) -> Stri
             Ok(()) => wire::encode_city_ack(&city, None).to_json(),
             Err(e) => wire::encode_error(&e.to_string()).to_json(),
         },
-        // `decode_envelope` never wraps a query in `Control`; answer
-        // defensively rather than panicking on a hot path.
-        wire::ClientMessage::Query(..) => {
-            wire::encode_error("internal: query routed as control").to_json()
-        }
     }
 }
 

@@ -24,8 +24,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bound on queued requests; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Maximum requests a worker drains in one batch.
-    pub batch_size: usize,
     /// LRU result-cache entries; zero disables caching.
     pub cache_capacity: usize,
     /// Deadline applied to requests submitted without one. `None`
@@ -74,7 +72,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: thread::available_parallelism().map_or(4, |n| n.get()),
             queue_capacity: 1024,
-            batch_size: 16,
             cache_capacity: 4096,
             default_deadline: None,
             shards: 1,
@@ -163,12 +160,12 @@ pub struct StartupInfo {
 /// One city's LRU of canonicalised query → shared results.
 type CachePartition = LruCache<CacheKey, Arc<Vec<QueryResult>>>;
 
-/// Per-city result-cache partitions behind one lock (one lock
-/// round-trip per batch pass, same as the old single cache). Shared
-/// with the registry's evict hook, which drops a city's partition when
-/// the city leaves residence — a reloaded engine answers identically,
-/// but stale entries for an unloaded city would otherwise hold its
-/// results (and their memory) alive.
+/// Per-city result-cache partitions behind one lock (one round-trip
+/// for a job's probe, one for its insert). Shared with the registry's
+/// evict hook, which drops a city's partition when the city leaves
+/// residence — a reloaded engine answers identically, but stale
+/// entries for an unloaded city would otherwise hold its results (and
+/// their memory) alive.
 struct CityCaches {
     partitions: Mutex<HashMap<CityId, CachePartition>>,
     /// Capacity of each city's partition; zero disables caching.
@@ -183,6 +180,20 @@ impl CityCaches {
             partitions,
             capacity,
         }
+    }
+
+    /// The cached answer for `key` in `city`'s partition, if any.
+    fn get(&self, city: &CityId, key: &CacheKey) -> Option<Arc<Vec<QueryResult>>> {
+        let mut partitions = self.partitions.lock();
+        partitions.get_mut(city)?.get(key).cloned()
+    }
+
+    fn insert(&self, city: &CityId, key: CacheKey, results: Arc<Vec<QueryResult>>) {
+        let mut partitions = self.partitions.lock();
+        partitions
+            .entry(city.clone())
+            .or_insert_with(|| LruCache::new(self.capacity))
+            .insert(key, results);
     }
 
     fn remove(&self, city: &CityId) {
@@ -316,7 +327,7 @@ impl Drop for Service {
         }
         // Drop the jobs no worker took, releasing their leases and reply
         // senders; the queue is closed, so this cannot block.
-        while self.shared.queue.pop_batch(usize::MAX).is_some() {}
+        while self.shared.queue.pop().is_some() {}
     }
 }
 
@@ -558,163 +569,86 @@ impl ServiceHandle {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(jobs) = shared.queue.pop_batch(shared.config.batch_size) {
-        shared.stats.record_batch(jobs.len());
-        process_batch(shared, jobs);
+    while let Some(job) = shared.queue.pop() {
+        process(shared, job);
     }
 }
 
-fn process_batch(shared: &Shared, jobs: Vec<Job>) {
-    // Admission at execution time: expire stale requests, serve cache
-    // hits, and collect the remainder for the engine. Expired jobs and
-    // hits are answered after the cache lock drops: `finish` takes the
-    // slow-log lock and sends the reply, and every worker needs the
-    // cache lock.
-    let mut runnable: Vec<Job> = Vec::with_capacity(jobs.len());
-    let mut answered: Vec<(Job, Response, &'static str)> = Vec::new();
-    {
-        let now = Instant::now();
-        let mut caches = shared.caches.partitions.lock();
-        for mut job in jobs {
-            if let Some(c) = &mut job.clock {
-                c.mark(Stage::Queue);
-            }
-            if job.deadline.is_some_and(|d| d < now) {
-                shared.stats.record_expired();
-                answered.push((job, Response::Expired, "expired"));
-                continue;
-            }
-            // Result caching is partitioned per city: the same query
-            // text means different things (and different answers) in
-            // different cities.
-            let hit = caches
-                .entry(job.lease.city().clone())
-                .or_insert_with(|| LruCache::new(shared.caches.capacity))
-                .get(&job.key)
-                .cloned();
-            if let Some(c) = &mut job.clock {
-                c.mark(Stage::Cache);
-            }
-            if let Some(hit) = hit {
-                shared.stats.record_cache_hit();
-                shared.stats.record_completed(job.enqueued.elapsed());
-                let ok = Response::Ok {
-                    results: hit,
-                    cached: true,
-                };
-                answered.push((job, ok, "ok"));
-                continue;
-            }
-            runnable.push(job);
-        }
+/// Carries one job from the queue to its reply: expire it if its
+/// deadline passed while queued, answer it from the cache, or run it.
+fn process(shared: &Shared, mut job: Job) {
+    if let Some(c) = &mut job.clock {
+        c.mark(Stage::Queue);
     }
-    for (job, response, status) in answered {
-        finish(shared, job, response, status, None);
-    }
-    if runnable.is_empty() {
+    if job.deadline.is_some_and(|d| d < Instant::now()) {
+        shared.stats.record_expired();
+        finish(shared, job, Response::Expired, "expired", None);
         return;
     }
-
-    // Coalescing: within one batch, jobs sharing a city and cache key
-    // execute once; the duplicates reuse the primary's result.
-    // Zipf-skewed traffic makes same-key collisions in a batch common.
-    let mut primaries: Vec<Job> = Vec::with_capacity(runnable.len());
-    let mut duplicates: Vec<(Job, usize)> = Vec::new();
-    let mut first_with_key: HashMap<(CityId, CacheKey), usize> = HashMap::new();
-    for job in runnable {
-        match first_with_key.entry((job.lease.city().clone(), job.key.clone())) {
-            std::collections::hash_map::Entry::Occupied(e) => duplicates.push((job, *e.get())),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(primaries.len());
-                primaries.push(job);
-            }
-        }
+    // Result caching is partitioned per city: the same query text
+    // means different things (and different answers) in different
+    // cities.
+    let hit = shared.caches.get(job.lease.city(), &job.key);
+    if let Some(c) = &mut job.clock {
+        c.mark(Stage::Cache);
     }
-
-    let mut replies: Vec<Result<Arc<Vec<QueryResult>>, String>> =
-        Vec::with_capacity(primaries.len());
-    // Collect this batch's cache inserts and take the cache lock once
-    // after the loop: one lock round-trip per batch instead of one per
-    // executed request keeps the hot path off the mutex.
-    let mut inserts: Vec<(CityId, CacheKey, Arc<Vec<QueryResult>>)> = Vec::new();
-    for mut job in primaries {
-        // Primaries execute in submission order; a primary's assembly
-        // stage is its wait behind the earlier primaries of its batch.
-        if let Some(c) = &mut job.clock {
-            c.mark(Stage::Assembly);
+    match hit {
+        Some(results) => {
+            shared.stats.record_cache_hit();
+            shared.stats.record_completed(job.enqueued.elapsed());
+            let ok = Response::Ok {
+                results,
+                cached: true,
+            };
+            finish(shared, job, ok, "ok", None);
         }
-        // Each execution runs inside its own sink scope, so its engine
-        // counter delta (lane threads included) stays per-query.
-        let sink = shared.config.tracing.then(CounterSink::new);
-        let outcome = catch_execution(|| {
-            let _ctx = sink.clone().map(CounterScope::enter);
-            execute_single(&job)
-        })
-        .map(Arc::new);
-        if let Some(c) = &mut job.clock {
-            c.mark(Stage::Engine);
-        }
-        match &outcome {
-            Ok(results) => {
-                shared.stats.record_cache_miss();
-                inserts.push((job.lease.city().clone(), job.key.clone(), results.clone()));
-                send_ok(shared, job, results, false, sink.as_ref());
-            }
-            Err(panic_msg) => {
-                shared.stats.record_failed();
-                let failed = Response::Failed {
-                    error: panic_msg.clone(),
-                };
-                finish(shared, job, failed, "failed", sink.as_ref());
-            }
-        }
-        replies.push(outcome);
+        None => execute(shared, job),
     }
-    if !inserts.is_empty() {
-        let mut caches = shared.caches.partitions.lock();
-        for (city, key, results) in inserts {
-            caches
-                .entry(city)
-                .or_insert_with(|| LruCache::new(shared.caches.capacity))
-                .insert(key, results);
-        }
-    }
+}
 
-    for (job, primary) in duplicates {
-        // A duplicate's trace shows zero engine counters — the primary
-        // carries the shared execution's work — and its wait for the
-        // primary lands in the reply stage.
-        match &replies[primary] {
-            Ok(results) => {
-                shared.stats.record_coalesced();
-                send_ok(shared, job, results, false, None);
-            }
-            Err(panic_msg) => {
-                shared.stats.record_failed();
-                let failed = Response::Failed {
-                    error: panic_msg.clone(),
-                };
-                finish(shared, job, failed, "failed", None);
-            }
+/// The miss half of a pass: runs the job on its city's engine, caches
+/// the result and replies. A panic is answered [`Response::Failed`].
+fn execute(shared: &Shared, mut job: Job) {
+    if let Some(c) = &mut job.clock {
+        c.mark(Stage::Assembly);
+    }
+    // Each execution runs inside its own sink scope, so its engine
+    // counter delta (lane threads included) stays per-query.
+    let sink = shared.config.tracing.then(CounterSink::new);
+    let outcome = catch_execution(|| {
+        let _ctx = sink.clone().map(CounterScope::enter);
+        execute_single(&job)
+    });
+    if let Some(c) = &mut job.clock {
+        c.mark(Stage::Engine);
+    }
+    match outcome {
+        Ok(results) => {
+            shared.stats.record_cache_miss();
+            let results = Arc::new(results);
+            shared
+                .caches
+                .insert(job.lease.city(), job.key.clone(), Arc::clone(&results));
+            send_ok(shared, job, results, sink.as_ref());
+        }
+        Err(panic_msg) => {
+            shared.stats.record_failed();
+            let failed = Response::Failed { error: panic_msg };
+            finish(shared, job, failed, "failed", sink.as_ref());
         }
     }
 }
 
-/// Sends a successful result, honouring the deadline contract end to
-/// end: admission only catches deadlines that passed while *queued*, so
-/// a deadline that expired during engine execution is re-checked here
-/// and answered [`Response::Expired`] instead of a stale `Ok`. The
+/// Sends a freshly computed result, honouring the deadline contract end
+/// to end: the pass only catches deadlines that passed while *queued*,
+/// so a deadline that expired during engine execution is re-checked
+/// here and answered [`Response::Expired`] instead of a stale `Ok`. The
 /// result is still cached by the caller — the work was done and future
 /// requests benefit.
-///
-/// `cached` is false for freshly computed results, including ones
-/// coalesced onto an in-batch primary (keeps client-side and
-/// server-side hit rates in step).
 fn send_ok(
     shared: &Shared,
     job: Job,
-    results: &Arc<Vec<QueryResult>>,
-    cached: bool,
+    results: Arc<Vec<QueryResult>>,
     sink: Option<&Arc<CounterSink>>,
 ) {
     if job.deadline.is_some_and(|d| d < Instant::now()) {
@@ -724,8 +658,8 @@ fn send_ok(
     }
     shared.stats.record_completed(job.enqueued.elapsed());
     let ok = Response::Ok {
-        results: results.clone(),
-        cached,
+        results,
+        cached: false,
     };
     finish(shared, job, ok, "ok", sink);
 }
@@ -808,7 +742,6 @@ mod tests {
     fn answers_match_direct_engine() {
         let (service, queries) = tiny_service(ServiceConfig {
             workers: 2,
-            batch_size: 4,
             ..ServiceConfig::default()
         });
         let handle = service.handle();
@@ -941,51 +874,35 @@ mod tests {
         service.shutdown();
     }
 
-    /// A deadline that is alive at batch admission but passes while the
-    /// engine is executing must be answered `Expired`, not a stale
-    /// `Ok`. A pile of OATSQ primaries submitted earlier in the same
-    /// batch runs first (primaries execute in submission order),
-    /// guaranteeing the doomed request's short deadline has passed by
-    /// the time its own execution and reply happen.
+    /// A deadline that passes while the engine is executing must be
+    /// answered `Expired`, not a stale `Ok`. The job is handed straight
+    /// to the miss half of the pass with its deadline already gone, so
+    /// only the post-execution check can catch it.
     #[test]
     fn deadline_expiring_during_execution_is_reported() {
         let (service, queries) = tiny_service(ServiceConfig {
             workers: 0,
-            batch_size: 512,
-            queue_capacity: 512,
-            cache_capacity: 0, // no hits: every filler executes
             ..ServiceConfig::default()
         });
         let handle = service.handle();
-        let fillers: Vec<Ticket> = (0..120)
-            .map(|i| {
-                let mut query = queries[i % queries.len()].clone();
-                // Perturb so every filler is a distinct primary.
-                query.points[0].loc.x += i as f64 * 1e-9;
-                handle.submit(Request::Oatsq { query, k: 9 }).unwrap()
-            })
-            .collect();
         let doomed = handle
             .submit_with_deadline(
                 Request::Atsq {
                     query: queries[0].clone(),
                     k: 3,
                 },
-                Some(Duration::from_millis(3)),
+                Some(Duration::ZERO),
             )
             .unwrap();
-        service.shared.queue.close();
-        worker_loop(&service.shared);
-        for t in fillers {
-            assert!(t.wait().unwrap().results().is_some());
-        }
+        let job = service.shared.queue.pop().unwrap();
+        execute(&service.shared, job);
         assert_eq!(doomed.wait().unwrap(), Response::Expired);
         let snap = handle.stats();
         assert_eq!(snap.expired, 1);
         // The doomed request *did* execute (captured as a cache miss):
         // this is the post-execution deadline check, not admission.
-        assert_eq!(snap.cache_misses, 121);
-        assert_eq!(snap.completed, 120);
+        assert_eq!(snap.cache_misses, 1);
+        assert_eq!(snap.completed, 0);
     }
 
     /// A sharded service answers byte-identically to the single-index
@@ -1075,39 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_requests_in_one_batch_coalesce() {
-        // No workers: four identical submissions pile up in the queue,
-        // then one manual worker pass drains them as a single batch.
-        let (service, queries) = tiny_service(ServiceConfig {
-            workers: 0,
-            batch_size: 16,
-            ..ServiceConfig::default()
-        });
-        let handle = service.handle();
-        let req = Request::Atsq {
-            query: queries[0].clone(),
-            k: 5,
-        };
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|_| handle.submit(req.clone()).unwrap())
-            .collect();
-        service.shared.queue.close();
-        worker_loop(&service.shared);
-        let responses: Vec<Response> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        let first = responses[0].results().unwrap();
-        for r in &responses {
-            assert_eq!(r.results().unwrap(), first);
-        }
-        let snap = handle.stats();
-        assert_eq!(snap.completed, 4);
-        assert_eq!(
-            snap.cache_misses, 1,
-            "duplicates must not re-run the engine"
-        );
-        assert_eq!(snap.coalesced, 3);
-    }
-
-    #[test]
     fn poisonous_request_fails_without_killing_the_pool() {
         use atsq_types::{ActivitySet, Point, QueryPoint};
         let (service, queries) = tiny_service(ServiceConfig {
@@ -1157,11 +1041,14 @@ mod tests {
         );
     }
 
+    /// Eight submitters ask the same eight queries over and over with
+    /// the cache off, so identical requests run at once on different
+    /// workers: every answer must equal the direct engine's.
     #[test]
-    fn concurrent_submitters_get_correct_answers() {
+    fn stress_concurrent_submitters_get_correct_answers() {
         let (service, queries) = tiny_service(ServiceConfig {
             workers: 4,
-            batch_size: 8,
+            cache_capacity: 0,
             ..ServiceConfig::default()
         });
         let handle = service.handle();
@@ -1169,33 +1056,39 @@ mod tests {
             .iter()
             .map(|q| handle.engine().atsq(&handle.dataset(), q, 5))
             .collect();
-        thread::scope(|scope| {
-            for t in 0..8 {
-                let handle = handle.clone();
-                let queries = &queries;
-                let expected = &expected;
-                scope.spawn(move || {
-                    for rep in 0..20 {
-                        let i = (t + rep) % queries.len();
-                        let resp = handle
-                            .call(Request::Atsq {
-                                query: queries[i].clone(),
-                                k: 5,
-                            })
-                            .unwrap();
-                        assert_eq!(resp.results().unwrap(), expected[i].as_slice());
-                    }
-                });
-            }
-        });
+        let (done, finished) = mpsc::channel();
+        for t in 0..8 {
+            let (handle, done) = (handle.clone(), done.clone());
+            let (queries, expected) = (queries.clone(), expected.clone());
+            thread::spawn(move || {
+                for rep in 0..20 {
+                    let i = (t + rep) % queries.len();
+                    let resp = handle
+                        .call(Request::Atsq {
+                            query: queries[i].clone(),
+                            k: 5,
+                        })
+                        .unwrap();
+                    assert_eq!(resp.results().unwrap(), expected[i].as_slice());
+                }
+                done.send(()).unwrap();
+            });
+        }
+        drop(done);
+        for _ in 0..8 {
+            // A panicking thread drops its sender; a hung one times out.
+            finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a submitter failed");
+        }
         let snap = handle.stats();
         assert_eq!(snap.completed, 160);
-        assert!(snap.cache_hits > 0);
+        assert_eq!(snap.cache_misses, 160);
         service.shutdown();
     }
 
-    /// The attribution acceptance test: with a single-threaded batch
-    /// drain, every request's trace carries a stage breakdown that
+    /// The attribution acceptance test: with one thread draining the
+    /// queue, every request's trace carries a stage breakdown that
     /// sums *exactly* to its end-to-end latency, and the per-query
     /// engine-counter deltas sum *exactly* to the engine's lifetime
     /// totals — no work unattributed, none double-counted.
@@ -1204,7 +1097,6 @@ mod tests {
         use atsq_core::{EngineCounters, Profiled};
         let (service, queries) = tiny_service(ServiceConfig {
             workers: 0,
-            batch_size: 64,
             cache_capacity: 0,
             slowlog_capacity: 64,
             slowlog_threshold: Duration::ZERO,

@@ -23,10 +23,7 @@ pub struct ServiceStats {
     expired: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    coalesced: AtomicU64,
     failed: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
     /// Histogram of end-to-end (enqueue → reply) latency in µs.
     latency_us: [AtomicU64; BUCKETS],
     /// Sum of completed-request latencies in µs (feeds the Prometheus
@@ -74,10 +71,7 @@ impl Default for ServiceStats {
             expired: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
             latency_us: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_sum_us: AtomicU64::new(0),
             stage_ns: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -122,25 +116,10 @@ impl ServiceStats {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One request served by coalescing onto an identical in-batch
-    /// request (no engine work, no LRU involvement).
-    pub fn record_coalesced(&self) {
-        // ordering: Relaxed — independent monotone tally.
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One request whose execution panicked (reported, not fatal).
     pub fn record_failed(&self) {
         // ordering: Relaxed — independent monotone tally.
         self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One batch of `n` requests drained by a worker.
-    pub fn record_batch(&self, n: usize) {
-        // ordering: Relaxed — independent monotone tallies; the
-        // batches/batched_requests pair is only used for a mean.
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// One request completed with the given enqueue→reply latency.
@@ -280,10 +259,8 @@ impl ServiceStats {
         // completed / expired / failed, so the difference is the
         // population currently queued or executing. Saturating: the
         // relaxed loads are not a consistent cut.
-        let inflight = submitted
-            .saturating_sub(completed)
-            .saturating_sub(expired)
-            .saturating_sub(failed);
+        let answered = completed + expired + failed;
+        let inflight = submitted.saturating_sub(answered);
         // ordering: Relaxed for every load below — monotone tallies,
         // advisory monitoring cut (see the coherence note above).
         StatsSnapshot {
@@ -294,10 +271,10 @@ impl ServiceStats {
             expired,
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            coalesced: 0,
             failed,
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            batches: answered,
+            batched_requests: answered,
             qps,
             p50_ms: percentile_ms(&hist, 0.50),
             p90_ms: percentile_ms(&hist, 0.90),
@@ -374,13 +351,18 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// Requests that ran on the engine.
     pub cache_misses: u64,
-    /// Requests coalesced onto an identical in-batch request.
+    /// Always 0: workers take one job per pass and never coalesce.
+    /// Kept only because the benchmark reads it; it goes when ROADMAP
+    /// item 19's benchmark-only change stops reading it.
     pub coalesced: u64,
     /// Requests whose execution panicked (answered `Failed`).
     pub failed: u64,
-    /// Batches drained by workers.
+    /// Jobs workers carried to a reply, one per pass: `completed +
+    /// expired + failed`. Kept only because the benchmark reads it (as
+    /// `batched_requests / batches`); it goes when ROADMAP item 19's
+    /// benchmark-only change stops reading it.
     pub batches: u64,
-    /// Requests across all drained batches.
+    /// Equal to [`StatsSnapshot::batches`]; kept, and going, with it.
     pub batched_requests: u64,
     /// Completed requests per second **since the previous snapshot**
     /// (not a lifetime average — idle periods don't deflate it).
@@ -425,15 +407,6 @@ impl StatsSnapshot {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Mean requests per drained batch.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
-    }
 }
 
 impl fmt::Display for StatsSnapshot {
@@ -454,11 +427,9 @@ impl fmt::Display for StatsSnapshot {
         )?;
         write!(
             f,
-            "cache hit rate {:.1}%  coalesced {}  failed {}  mean batch {:.1}  distance evals {}",
+            "cache hit rate {:.1}%  failed {}  distance evals {}",
             self.cache_hit_rate() * 100.0,
-            self.coalesced,
             self.failed,
-            self.mean_batch_size(),
             self.engine.distance_evals
         )?;
         if self.shard_candidates.len() > 1 {
@@ -482,7 +453,6 @@ mod tests {
         s.record_expired();
         s.record_cache_hit();
         s.record_cache_miss();
-        s.record_batch(5);
         s.record_completed(Duration::from_micros(800));
         // Let the QPS window clear its 10 ms floor so the rate is live.
         std::thread::sleep(Duration::from_millis(12));
@@ -494,8 +464,10 @@ mod tests {
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.queue_depth, 3);
+        // One pass per answered job (one completed, one expired).
+        assert_eq!((snap.batches, snap.batched_requests), (2, 2));
+        assert_eq!(snap.coalesced, 0);
         assert!((snap.cache_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((snap.mean_batch_size() - 5.0).abs() < 1e-12);
         assert!(snap.qps > 0.0);
         let text = snap.to_string();
         assert!(text.contains("cache hit rate"), "{text}");
@@ -523,7 +495,6 @@ mod tests {
         let snap = s.snapshot(0, EngineCounters::default(), vec![0]);
         assert_eq!(snap.p50_ms, 0.0);
         assert_eq!(snap.cache_hit_rate(), 0.0);
-        assert_eq!(snap.mean_batch_size(), 0.0);
     }
 
     /// The regression the windowed rate fixes: an idle stretch between

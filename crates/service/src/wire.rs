@@ -52,11 +52,9 @@ fn bad(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-/// One decoded client line.
+/// A decoded control line: an op that needs no dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientMessage {
-    /// A query to submit, with its optional deadline.
-    Query(Request, Option<Duration>),
     /// Stats snapshot request.
     Stats,
     /// Prometheus metrics-page request.
@@ -182,21 +180,6 @@ pub fn decode_query_request(
         other => return Err(bad(format!("unknown op `{other}`"))),
     };
     Ok((request, deadline))
-}
-
-/// Decodes one request line against a single dataset vocabulary.
-///
-/// Single-dataset convenience: any `city` member is ignored. Servers
-/// hosting multiple cities use [`decode_envelope`] +
-/// [`decode_query_request`] so the vocabulary matches the target city.
-pub fn decode_client_line(line: &str, dataset: &Dataset) -> Result<ClientMessage, WireError> {
-    match decode_envelope(line)? {
-        Envelope::Control(message) => Ok(message),
-        Envelope::Query { value, .. } => {
-            let (request, deadline) = decode_query_request(&value, dataset)?;
-            Ok(ClientMessage::Query(request, deadline))
-        }
-    }
 }
 
 fn decode_query(value: &Value, dataset: &Dataset) -> Result<Query, WireError> {
@@ -468,9 +451,7 @@ pub fn encode_stats(snap: &StatsSnapshot) -> Value {
         ("cache_hits", Value::Num(snap.cache_hits as f64)),
         ("cache_misses", Value::Num(snap.cache_misses as f64)),
         ("cache_hit_rate", Value::Num(snap.cache_hit_rate())),
-        ("coalesced", Value::Num(snap.coalesced as f64)),
         ("failed", Value::Num(snap.failed as f64)),
-        ("mean_batch_size", Value::Num(snap.mean_batch_size())),
         ("qps", Value::Num(snap.qps)),
         ("p50_ms", Value::Num(snap.p50_ms)),
         ("p90_ms", Value::Num(snap.p90_ms)),
@@ -584,6 +565,18 @@ mod tests {
         generate(&CityConfig::tiny(2)).unwrap()
     }
 
+    /// Decodes a query line the way the server does: envelope first,
+    /// then the query body against `ds`.
+    fn decode_query_line(
+        line: &str,
+        ds: &Dataset,
+    ) -> Result<(Request, Option<Duration>), WireError> {
+        match decode_envelope(line)? {
+            Envelope::Query { value, .. } => decode_query_request(&value, ds),
+            Envelope::Control(message) => panic!("not a query line: {message:?}"),
+        }
+    }
+
     #[test]
     fn request_roundtrips_through_the_wire() {
         let ds = dataset();
@@ -616,13 +609,9 @@ mod tests {
             },
         ] {
             let line = encode_request(&request, Some(Duration::from_millis(250))).to_json();
-            match decode_client_line(&line, &ds).unwrap() {
-                ClientMessage::Query(decoded, deadline) => {
-                    assert_eq!(decoded, request);
-                    assert_eq!(deadline, Some(Duration::from_millis(250)));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            let (decoded, deadline) = decode_query_line(&line, &ds).unwrap();
+            assert_eq!(decoded, request);
+            assert_eq!(deadline, Some(Duration::from_millis(250)));
         }
     }
 
@@ -632,8 +621,8 @@ mod tests {
         let name = ds.vocabulary().name(ActivityId(0)).unwrap().to_owned();
         let line =
             format!(r#"{{"op":"atsq","k":3,"stops":[{{"x":1.0,"y":2.0,"acts":["{name}"]}}]}}"#);
-        match decode_client_line(&line, &ds).unwrap() {
-            ClientMessage::Query(Request::Atsq { query, k }, None) => {
+        match decode_query_line(&line, &ds).unwrap() {
+            (Request::Atsq { query, k }, None) => {
                 assert_eq!(k, 3);
                 assert!(query.points[0].activities.contains(ActivityId(0)));
             }
@@ -643,23 +632,14 @@ mod tests {
 
     #[test]
     fn control_messages_decode() {
-        let ds = dataset();
-        assert_eq!(
-            decode_client_line(r#"{"op":"stats"}"#, &ds).unwrap(),
-            ClientMessage::Stats
-        );
-        assert_eq!(
-            decode_client_line(r#"{"op":"metrics"}"#, &ds).unwrap(),
-            ClientMessage::Metrics
-        );
-        assert_eq!(
-            decode_client_line(r#"{"op":"slowlog"}"#, &ds).unwrap(),
-            ClientMessage::Slowlog
-        );
-        assert_eq!(
-            decode_client_line(r#"{"op":"ping"}"#, &ds).unwrap(),
-            ClientMessage::Ping
-        );
+        for (line, message) in [
+            (r#"{"op":"stats"}"#, ClientMessage::Stats),
+            (r#"{"op":"metrics"}"#, ClientMessage::Metrics),
+            (r#"{"op":"slowlog"}"#, ClientMessage::Slowlog),
+            (r#"{"op":"ping"}"#, ClientMessage::Ping),
+        ] {
+            assert_eq!(decode_envelope(line).unwrap(), Envelope::Control(message));
+        }
     }
 
     #[test]
@@ -679,7 +659,7 @@ mod tests {
             // An overflowing coordinate is refused, never ranked as ∞.
             r#"{"op":"atsq","k":3,"stops":[{"x":1e999,"y":2,"act_ids":[0]}]}"#,
         ] {
-            assert!(decode_client_line(bad_line, &ds).is_err(), "{bad_line}");
+            assert!(decode_query_line(bad_line, &ds).is_err(), "{bad_line}");
         }
     }
 
@@ -751,7 +731,7 @@ mod tests {
     fn unknown_ops_name_themselves_in_the_error() {
         // The op is validated before the query body, so a bare unknown
         // op reports itself rather than a missing-stops complaint.
-        let err = decode_client_line(r#"{"op":"warp"}"#, &dataset()).unwrap_err();
+        let err = decode_envelope(r#"{"op":"warp"}"#).unwrap_err();
         assert!(err.to_string().contains("unknown op `warp`"), "{err}");
     }
 

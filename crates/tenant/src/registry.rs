@@ -394,7 +394,8 @@ impl CityRegistry {
 
     /// Registers a city that is already resident (state `Ready`). The
     /// reload factory clones the given `Arc`s, so an unpinned resident
-    /// city survives unload-then-query cycles.
+    /// city survives unload-then-query cycles. Like a load, admitting
+    /// the city runs the eviction pass, which never selects it.
     pub fn add_resident(
         &self,
         city: CityId,
@@ -421,7 +422,10 @@ impl CityRegistry {
         entry.dataset = Some(dataset);
         entry.engine = Some(engine);
         entry.resident_bytes = bytes;
-        inner.entries.insert(city, entry);
+        inner.entries.insert(city.clone(), entry);
+        let victims = self.collect_victims(&mut inner, Some(&city));
+        drop(inner);
+        self.finish_evictions(victims);
         Ok(())
     }
 
@@ -933,6 +937,27 @@ mod tests {
             registry.cities().iter().any(|c| c.evictions > 0),
             "nothing was evicted"
         );
+    }
+
+    /// Admitting a resident city runs the eviction pass: under a 1-byte
+    /// budget each new unpinned city evicts the one before it.
+    #[test]
+    fn add_resident_evicts_over_budget() {
+        let registry = CityRegistry::new(id("a"), Some(1));
+        for (i, name) in ["a", "b", "c"].iter().enumerate() {
+            let dataset = tiny_dataset(40 + i as u64);
+            let engine = Arc::new(Engine::Il(atsq_core::IlEngine::build(&dataset)));
+            registry
+                .add_resident(id(name), dataset, engine, false)
+                .unwrap();
+        }
+        let cities = registry.cities();
+        let info = |name: &str| cities.iter().find(|c| c.city == id(name)).unwrap();
+        assert_eq!(info("c").state, TenantState::Ready);
+        for name in ["a", "b"] {
+            assert_eq!(info(name).state, TenantState::Evicted, "{name}");
+            assert_eq!(info(name).evictions, 1, "{name}");
+        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ fn three_cities_under_two_city_budget_serve_exactly_and_evict_observably() {
         Arc::new(registry),
         ServiceConfig {
             workers: 3,
-            batch_size: 4,
             ..ServiceConfig::default()
         },
     );

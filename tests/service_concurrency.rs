@@ -77,7 +77,6 @@ fn service_answers_match_direct_engine_under_load() {
         dataset,
         ServiceConfig {
             workers: 4,
-            batch_size: 8,
             ..ServiceConfig::default()
         },
     )
@@ -182,7 +181,6 @@ fn loadgen_verifies_sharded_server() {
         dataset.clone(),
         ServiceConfig {
             workers: 4,
-            batch_size: 8,
             shards: 3,
             partition: Partition::Spatial,
             ..ServiceConfig::default()
