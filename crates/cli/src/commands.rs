@@ -155,20 +155,6 @@ fn parse_stop(spec: &str, dataset: &Dataset) -> Result<QueryPoint, CliError> {
     ))
 }
 
-/// Parses the shared `--shards` / `--partition` pair.
-fn parse_sharding(f: &crate::args::Flags) -> Result<(usize, Partition), CliError> {
-    let shards: usize = f.num("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be ≥ 1".into()));
-    }
-    let partition = f
-        .get("partition")
-        .unwrap_or("hash")
-        .parse::<Partition>()
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-    Ok((shards, partition))
-}
-
 fn build_engine(dataset: &Dataset, name: &str) -> Result<Engine, CliError> {
     Ok(match name {
         "gat" => Engine::Gat(GatEngine::build(dataset)?),
@@ -188,16 +174,7 @@ fn build_engine(dataset: &Dataset, name: &str) -> Result<Engine, CliError> {
 pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let f = parse(
         argv,
-        &[
-            "data",
-            "engine",
-            "k",
-            "range",
-            "stop",
-            "shards",
-            "partition",
-            "index-cache",
-        ],
+        &["data", "engine", "k", "range", "stop", "index-cache"],
         &["ordered", "witness"],
     )?;
     // Both are validated before the dataset is loaded, so a malformed
@@ -224,7 +201,6 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let points: Result<Vec<QueryPoint>, CliError> =
         stops.iter().map(|s| parse_stop(s, &dataset)).collect();
     let query = Query::new(points?).map_err(|e| CliError::Usage(e.to_string()))?;
-    let (shards, partition) = parse_sharding(&f)?;
     let engine_name = f.get("engine").unwrap_or("gat");
     let cache = f.get("index-cache").map(IndexCache::new);
     if cache.is_some() && engine_name != "gat" {
@@ -232,18 +208,15 @@ pub fn query(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--index-cache only applies to the default gat engine".into(),
         ));
     }
-    let engine = if shards > 1 && engine_name != "gat" {
-        return Err(CliError::Usage(
-            "--shards only applies to the default gat engine".into(),
-        ));
-    } else if shards > 1 || cache.is_some() {
-        let (engine, outcome) = Engine::build_gat(&dataset, shards, partition, cache.as_ref())?;
-        if let Some(outcome) = outcome {
-            writeln!(out, "{}", describe_outcome(&outcome))?;
+    let engine = match &cache {
+        Some(cache) => {
+            let (engine, outcome) = Engine::build_gat(&dataset, 1, Partition::Hash, Some(cache))?;
+            if let Some(outcome) = outcome {
+                writeln!(out, "{}", describe_outcome(&outcome))?;
+            }
+            engine
         }
-        engine
-    } else {
-        build_engine(&dataset, engine_name)?
+        None => build_engine(&dataset, engine_name)?,
     };
     let results = engine.search(&dataset, &query, kind, goal);
 
@@ -302,12 +275,9 @@ pub fn index(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn index_build(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let f = parse(argv, &["data", "cache", "shards", "partition"], &[])?;
+    let f = parse(argv, &["data", "cache"], &[])?;
     let dataset = load_dataset(f.require("data")?)?;
     let cache = IndexCache::new(f.require("cache")?);
-    // Accepted for symmetry with `serve` / `query`; the snapshot is
-    // the same whatever the shard count.
-    parse_sharding(&f)?;
     let hash = dataset.content_hash();
     let t0 = Instant::now();
     let index = atsq_core::GatIndex::build(&dataset)?;
@@ -317,7 +287,7 @@ fn index_build(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         out,
         "built and snapshotted the index for dataset {hash:016x} in {built_ms:.0} ms"
     )?;
-    writeln!(out, "  wrote {} (serves any --shards)", path.display())?;
+    writeln!(out, "  wrote {}", path.display())?;
     writeln!(
         out,
         "serve it with: atsq serve --data <snapshot> --index-cache {}",
@@ -422,8 +392,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "cache",
             "deadline-ms",
             "duration-s",
-            "shards",
-            "partition",
             "index-cache",
             "slowlog-ms",
             "slowlog-capacity",
@@ -431,7 +399,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         &["no-tracing"],
     )?;
     let defaults = ServiceConfig::default();
-    let (shards, partition) = parse_sharding(&f)?;
     let config = ServiceConfig {
         workers: f.num("workers", defaults.workers)?,
         queue_capacity: f.num("queue", defaults.queue_capacity)?,
@@ -440,8 +407,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             None => None,
             Some(_) => Some(Duration::from_millis(f.num("deadline-ms", 0u64)?)),
         },
-        shards,
-        partition,
         index_cache: f.get("index-cache").map(std::path::PathBuf::from),
         tracing: !f.has("no-tracing"),
         slowlog_capacity: f.num("slowlog-capacity", defaults.slowlog_capacity)?,
@@ -456,11 +421,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let duration_s: u64 = f.num("duration-s", 0)?;
     let workers = config.workers;
-    let sharding = if shards > 1 {
-        format!(", {shards} {partition} shards")
-    } else {
-        String::new()
-    };
 
     let service = match (f.get("cities"), f.get("data")) {
         (Some(_), Some(_)) => {
@@ -476,8 +436,6 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // city's first query (or an explicit `city_load`).
         (Some(dir), None) => {
             let opts = atsq_tenant::DiskRegistryOptions {
-                shards,
-                partition,
                 memory_budget: f.get("tenant-memory-budget").map(parse_bytes).transpose()?,
                 default_city: f.get("default-city").map(str::to_owned),
             };
@@ -517,7 +475,7 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(CliError::Io)?;
     writeln!(
         out,
-        "serving on {} ({workers} workers{sharding}); NDJSON, one request per line",
+        "serving on {} ({workers} workers); NDJSON, one request per line",
         server.local_addr()
     )?;
     if duration_s == 0 {
@@ -577,6 +535,24 @@ pub fn loadgen(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         seed: f.num("seed", defaults.seed)?,
         latency_out: f.get("latency-out").map(std::path::PathBuf::from),
     };
+    // The load generator's preconditions, checked before any dataset
+    // loads so that a bad value fails fast.
+    for (flag, value) in [
+        ("concurrency", cfg.concurrency),
+        ("requests", cfg.requests),
+        ("pool", cfg.pool),
+        ("query-points", cfg.query_points),
+        ("acts-per-point", cfg.acts_per_point),
+    ] {
+        if value == 0 {
+            return Err(CliError::Usage(format!("loadgen needs --{flag} >= 1")));
+        }
+    }
+    if !(cfg.zipf_s.is_finite() && cfg.zipf_s >= 0.0) {
+        return Err(CliError::Usage(
+            "--zipf must be a finite number >= 0".into(),
+        ));
+    }
     let workloads = match (f.get("cities"), f.get("data")) {
         (Some(_), Some(_)) => {
             return Err(CliError::Usage(
@@ -973,74 +949,10 @@ u2,34.10,-118.30,20,hiking with a view
         std::fs::remove_file(snap).ok();
     }
 
-    #[test]
-    fn sharded_query_matches_single_index() {
-        let dir = std::env::temp_dir().join("atsq_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("sharded.atsq");
-        let snap = snap.to_str().unwrap();
-        run_ok(&["generate", "--city", "tiny", "--seed", "3", "--out", snap]);
-        let dataset = load_dataset(snap).unwrap();
-        let name = dataset
-            .vocabulary()
-            .name(atsq_types::ActivityId(0))
-            .unwrap();
-        let stop = format!("10.0,10.0:{name}");
-        let single = run_ok(&["query", "--data", snap, "--stop", &stop, "--k", "5"]);
-        for partition in ["hash", "spatial"] {
-            let sharded = run_ok(&[
-                "query",
-                "--data",
-                snap,
-                "--stop",
-                &stop,
-                "--k",
-                "5",
-                "--shards",
-                "3",
-                "--partition",
-                partition,
-            ]);
-            assert_eq!(
-                single.replace("[GAT]", "[GAT-SHARDED]"),
-                sharded,
-                "{partition}"
-            );
-        }
-        // Sharding a baseline engine or 0 shards is a usage error.
-        let mut out = Vec::new();
-        assert!(run(
-            &sv(&["query", "--data", snap, "--stop", &stop, "--shards", "2", "--engine", "il"]),
-            &mut out
-        )
-        .is_err());
-        assert!(run(
-            &sv(&["query", "--data", snap, "--stop", &stop, "--shards", "0"]),
-            &mut out
-        )
-        .is_err());
-        assert!(run(
-            &sv(&[
-                "query",
-                "--data",
-                snap,
-                "--stop",
-                &stop,
-                "--shards",
-                "2",
-                "--partition",
-                "mars"
-            ]),
-            &mut out
-        )
-        .is_err());
-        std::fs::remove_file(snap).ok();
-    }
-
     /// The index-cache workflow end to end: `index build` writes
     /// snapshots, `index inspect` lists them, `query --index-cache`
-    /// loads them and answers exactly like a cache-less run (single
-    /// and sharded), and corrupting a snapshot degrades to a rebuild.
+    /// loads them and answers exactly like a cache-less run, and
+    /// corrupting a snapshot degrades to a rebuild.
     #[test]
     fn index_cache_workflow_roundtrip() {
         let dir = std::env::temp_dir().join("atsq_cli_test_idxcache");
@@ -1059,13 +971,8 @@ u2,34.10,-118.30,20,hiking with a view
         let stop = format!("10.0,10.0:{name}");
         let plain = run_ok(&["query", "--data", snap, "--stop", &stop, "--k", "5"]);
 
-        // One snapshot serves the single index and any shard count.
         let msg = run_ok(&["index", "build", "--data", snap, "--cache", cache]);
         assert!(msg.contains("snapshotted"), "{msg}");
-        let msg = run_ok(&[
-            "index", "build", "--data", snap, "--cache", cache, "--shards", "2",
-        ]);
-        assert!(msg.contains("serves any --shards"), "{msg}");
         let listing = run_ok(&["index", "inspect", "--cache", cache]);
         assert!(listing.contains("kind index"), "{listing}");
         assert_eq!(listing.lines().count(), 1, "one file: {listing}");
@@ -1084,24 +991,6 @@ u2,34.10,-118.30,20,hiking with a view
         ]);
         assert!(cached.contains("loaded index snapshot"), "{cached}");
         assert_eq!(cached.replace("loaded index snapshot\n", ""), plain);
-        let sharded = run_ok(&[
-            "query",
-            "--data",
-            snap,
-            "--stop",
-            &stop,
-            "--k",
-            "5",
-            "--shards",
-            "2",
-            "--index-cache",
-            cache,
-        ]);
-        assert!(sharded.contains("loaded index snapshot"), "{sharded}");
-        assert_eq!(
-            sharded.replace("loaded index snapshot\n", ""),
-            plain.replace("[GAT]", "[GAT-SHARDED]")
-        );
 
         // Corrupt the single-index snapshot: the query falls back to a
         // fresh build, same answers, and repairs the snapshot.
@@ -1180,17 +1069,18 @@ u2,34.10,-118.30,20,hiking with a view
             snap,
             "--cache",
             cache.to_str().unwrap(),
-            "--shards",
-            "2",
         ]);
 
         let config = ServiceConfig {
             workers: 2,
-            shards: 2,
             index_cache: Some(cache.clone()),
             ..ServiceConfig::default()
         };
-        let service = Service::build(dataset.clone(), config).unwrap();
+        let (service, outcome) = Service::build_with_outcome(dataset.clone(), config).unwrap();
+        assert!(
+            outcome.is_some_and(|o| o.loaded()),
+            "serve loads the snapshot"
+        );
         let server = Server::bind(service.handle(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr().to_string();
         let report = run_ok(&[
@@ -1381,15 +1271,43 @@ u2,34.10,-118.30,20,hiking with a view
             matches!(&err, Err(CliError::Usage(m)) if m.contains("--workers")),
             "{err:?}"
         );
-        // An unknown flag such as `--batch` is refused before any load.
-        let err = run(
-            &sv(&["serve", "--batch", "4", "--data", "/nonexistent"]),
-            &mut out,
-        );
-        assert!(
-            matches!(&err, Err(CliError::Usage(m)) if m.contains("unknown flag `--batch`")),
-            "{err:?}"
-        );
+        // Unknown flags, removed ones included, are refused before any
+        // load.
+        for (command, flag, value) in [
+            (&["serve"][..], "batch", "4"),
+            (&["query"][..], "shards", "2"),
+            (&["serve"][..], "partition", "hash"),
+            (&["index", "build"][..], "shards", "2"),
+        ] {
+            let mut argv = sv(command);
+            argv.extend([format!("--{flag}"), value.to_owned()]);
+            argv.extend(sv(&["--data", "/nonexistent"]));
+            let err = run(&argv, &mut out);
+            let want = format!("unknown flag `--{flag}`");
+            assert!(
+                matches!(&err, Err(CliError::Usage(m)) if m.contains(&want)),
+                "{argv:?}: {err:?}"
+            );
+        }
+        // So are out-of-range `loadgen` values, each naming its flag.
+        for (flag, value) in [
+            ("--concurrency", "0"),
+            ("--requests", "0"),
+            ("--pool", "0"),
+            ("--query-points", "0"),
+            ("--acts-per-point", "0"),
+            ("--zipf", "-1"),
+            ("--zipf", "nan"),
+        ] {
+            let argv = ["loadgen", "--data", "/nonexistent", "--addr", "127.0.0.1:1"];
+            let mut argv = sv(&argv);
+            argv.extend(sv(&[flag, value]));
+            let err = run(&argv, &mut out);
+            assert!(
+                matches!(&err, Err(CliError::Usage(m)) if m.contains(flag)),
+                "{flag} {value}: {err:?}"
+            );
+        }
         // help works
         run(&sv(&["help"]), &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("USAGE"));

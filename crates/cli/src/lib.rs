@@ -58,16 +58,13 @@ USAGE:
   atsq stats    --data FILE
   atsq query    --data FILE [--engine gat|il|rt|irt] [--k N]
                 [--ordered] [--range TAU] --stop \"x,y:act1;act2\"
-                [--stop ...] [--witness] [--shards S]
-                [--partition hash|spatial] [--index-cache DIR]
-  atsq index    build --data FILE --cache DIR [--shards S]
-                [--partition hash|spatial]
+                [--stop ...] [--witness] [--index-cache DIR]
+  atsq index    build --data FILE --cache DIR
   atsq index    inspect --cache DIR
   atsq bench    --data FILE [--queries N] [--k N]
   atsq serve    (--data FILE | --cities DIR) [--addr HOST:PORT]
                 [--workers N] [--queue N] [--cache N]
-                [--deadline-ms MS] [--duration-s S] [--shards S]
-                [--partition hash|spatial] [--index-cache DIR]
+                [--deadline-ms MS] [--duration-s S] [--index-cache DIR]
                 [--slowlog-ms MS] [--slowlog-capacity N] [--no-tracing]
                 [--tenant-memory-budget BYTES[kb|mb|gb]]
                 [--default-city NAME] [--city-cap N]
@@ -83,10 +80,6 @@ USAGE:
 Datasets are `atsq v1` text snapshots (see atsq-io). Activities in
 --stop are names from the dataset vocabulary. With --tips the CSV's
 fifth column is free text and activities are mined from it.
-
---shards S > 1 splits candidate verification over S lanes of the one
-GAT index (trajectories assigned by the hash or spatial partitioner),
-run in parallel where cores allow; results are identical to S = 1.
 
 --index-cache DIR reads/writes persistent index snapshots keyed by the
 dataset's content hash: `atsq index build` pre-builds them, and `atsq

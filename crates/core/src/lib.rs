@@ -143,14 +143,17 @@ pub enum Engine {
     Irt(IrtEngine),
     /// Sharded parallel GAT (one index, candidate verification split
     /// over `S` lanes). Not part of [`Engine::build_all`]'s paper
-    /// line-up.
+    /// line-up, and built by no serving path: only the benchmark's
+    /// `engine-direct` S = 2 arm and the engine tests use it, until
+    /// ROADMAP item 6 removes it.
     Sharded(ShardedEngine),
 }
 
 impl Engine {
-    /// Builds the serving engine — one GAT index behind a
-    /// [`GatEngine`], or behind a [`ShardedEngine`] when `shards > 1` —
-    /// optionally through a persistent [`IndexCache`]. With a cache, a
+    /// Builds the GAT engine, optionally through a persistent
+    /// [`IndexCache`]: one index behind a [`GatEngine`], or, when
+    /// `shards > 1`, behind the [`ShardedEngine`] experiment. Every
+    /// serving path passes `1` and [`Partition::Hash`]. With a cache, a
     /// valid snapshot keyed by the dataset's content hash is *loaded*
     /// (answers are byte-identical to a fresh build); a missing, stale
     /// or corrupt snapshot triggers a fresh build whose snapshot is

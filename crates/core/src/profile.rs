@@ -159,8 +159,8 @@ impl Profiled for Engine {
 
 impl Engine {
     /// Work counters broken out per shard — one entry per shard for
-    /// the sharded engine, a single entry otherwise. Serving stats use
-    /// this to expose per-shard candidate counts.
+    /// the sharded engine, a single entry otherwise. Only the
+    /// benchmark's sharded arm reads it; it goes with ROADMAP item 6.
     pub fn per_shard_counters(&self) -> Vec<EngineCounters> {
         match self {
             Engine::Sharded(e) => e
@@ -172,30 +172,9 @@ impl Engine {
         }
     }
 
-    /// Accumulated engine busy time per shard in nanoseconds — one
-    /// entry per shard for the sharded engine, empty otherwise (an
-    /// unsharded engine has no internal parallelism to account).
-    pub fn per_shard_busy_ns(&self) -> Vec<u64> {
-        match self {
-            Engine::Sharded(e) => e.per_shard_busy_ns(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Counters of the sharded engine's traversal (cold HICL reads
-    /// spent generating candidates); `None` for unsharded engines. The
-    /// traversal never records candidates — each candidate is charged
-    /// to its owning lane at routing time — so folding this into an
-    /// aggregate never perturbs per-shard candidate sums.
-    pub fn router_counters(&self) -> Option<EngineCounters> {
-        match self {
-            Engine::Sharded(e) => Some(counters_from_io(e.router_stats())),
-            _ => None,
-        }
-    }
-
-    /// Accumulated traversal (router) busy time in nanoseconds; `None`
-    /// for unsharded engines.
+    /// Accumulated traversal (router) busy time of the sharded engine
+    /// in nanoseconds; `None` for unsharded engines. Only the
+    /// benchmark's sharded arm reads it; it goes with ROADMAP item 6.
     pub fn router_busy_ns(&self) -> Option<u64> {
         match self {
             Engine::Sharded(e) => Some(e.router_busy_ns()),

@@ -29,7 +29,8 @@
 //! the [`Goal`](atsq_types::Goal) (top-k or range). [`sharded`] runs
 //! the same loop with candidate verification split over `S` lanes of
 //! one index, behind [`ShardedEngine::try_search`] and the
-//! [`QueryEngine`](atsq_types::QueryEngine) trait.
+//! [`QueryEngine`](atsq_types::QueryEngine) trait — an engine-level
+//! experiment that no serving path builds.
 //!
 //! The index is immutable once built. [`snapshot`] persists it as a
 //! versioned, checksummed binary snapshot (the configuration, grid and

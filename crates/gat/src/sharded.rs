@@ -19,79 +19,32 @@
 //! content does not depend on the order candidates are offered in.
 //! Parallel lanes prune against the cutoff as of the batch start,
 //! which is never below the final one.
+//!
+//! This is an engine-level experiment, not a serving option: the CLI,
+//! the service and the tenant registry build one GAT index with one
+//! lane. Only the benchmark's `engine-direct` S = 2 arm and the engine
+//! tests build a `ShardedEngine`, and it goes with ROADMAP item 6.
 
 use crate::config::GatConfig;
 use crate::index::GatIndex;
 use crate::kernel::ScoreScratch;
 use crate::search::{run, Verifier};
 use crate::stats::{IoSnapshot, IoStats};
-use atsq_grid::morton_encode;
 use atsq_types::{
-    Dataset, Error, Goal, Point, Query, QueryEngine, QueryKind, QueryResult, Result, Sink,
-    TrajectoryId,
+    Dataset, Error, Goal, Query, QueryEngine, QueryKind, QueryResult, Result, Sink, TrajectoryId,
 };
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
-/// How trajectories are assigned to lanes. Either way the traversal
-/// and every answer are the same; the partitioner only decides which
+/// How trajectories are assigned to lanes. The traversal and every
+/// answer are the same whatever the assignment; it only decides which
 /// lane verifies a candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Partition {
     /// Multiplicative hash of the trajectory id — uniform lane sizes,
-    /// so every batch spreads evenly. The default.
+    /// so every batch spreads evenly.
     #[default]
     Hash,
-    /// Z-order (Morton) sort of trajectory centroids, chunked into
-    /// contiguous runs — spatially local lanes, so a query with a small
-    /// diameter keeps most of its candidates on one lane.
-    Spatial,
-}
-
-impl std::str::FromStr for Partition {
-    type Err = Error;
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "hash" => Ok(Partition::Hash),
-            "spatial" => Ok(Partition::Spatial),
-            other => Err(Error::InvalidConfig(format!(
-                "partition must be `hash` or `spatial` (got `{other}`)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for Partition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Partition::Hash => "hash",
-            Partition::Spatial => "spatial",
-        })
-    }
-}
-
-/// One verification lane: the work counters and busy time of the
-/// candidates it owns.
-#[derive(Debug, Default)]
-struct Lane {
-    stats: IoStats,
-    /// Accumulated verification time, in nanoseconds. The *maximum*
-    /// across lanes is a query's critical path — the latency a host
-    /// with ≥ S cores observes; on fewer cores the wall-clock
-    /// approaches the *sum* instead.
-    busy_ns: AtomicU64,
-}
-
-impl Lane {
-    fn add_busy(&self, lane: usize, since: Instant) {
-        let ns = since.elapsed().as_nanos() as u64;
-        // ordering: Relaxed — advisory busy-time tally; no memory is
-        // published through it.
-        self.busy_ns.fetch_add(ns, AtomicOrdering::Relaxed);
-        // Attribute the same busy time to the active per-query counter
-        // context, keyed by lane (no-op outside a scope).
-        atsq_obs::record_shard_busy(lane, ns);
-    }
 }
 
 /// One [`GatIndex`] whose candidates are verified on `S` lanes, behind
@@ -104,10 +57,10 @@ pub struct ShardedEngine {
     /// traversal (cold HICL reads); verification is charged to lanes.
     index: GatIndex,
     /// Global trajectory id → owning lane; a deterministic function of
-    /// the dataset and the partitioner, so it is never persisted.
+    /// the dataset size and the lane count, so it is never persisted.
     owner: Vec<u32>,
-    lanes: Vec<Lane>,
-    partition: Partition,
+    /// The work counters of the candidates each lane owns.
+    lanes: Vec<IoStats>,
     /// Verification workers a query may use: one per lane, capped by
     /// the host's parallelism.
     threads: usize,
@@ -160,23 +113,16 @@ impl ShardedEngine {
         }
         let owner = match partition {
             Partition::Hash => hash_assign(dataset.len(), shards),
-            Partition::Spatial => spatial_assign(dataset, shards),
         };
         Ok(ShardedEngine {
             index,
             owner,
-            lanes: (0..shards).map(|_| Lane::default()).collect(),
-            partition,
+            lanes: (0..shards).map(|_| IoStats::default()).collect(),
             threads: std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
                 .min(shards),
             router_busy_ns: AtomicU64::new(0),
         })
-    }
-
-    /// The partitioner this engine was built with.
-    pub fn partition(&self) -> Partition {
-        self.partition
     }
 
     /// I/O counters of the traversal (cold HICL reads of the candidate
@@ -188,8 +134,7 @@ impl ShardedEngine {
 
     /// Accumulated nanoseconds the coordinator spent inside the
     /// traversal (retrieve + route + lower bound) — the serial section
-    /// of a sharded query; per-lane verification time is in
-    /// [`ShardedEngine::per_shard_busy_ns`].
+    /// of a sharded query.
     pub fn router_busy_ns(&self) -> u64 {
         // ordering: Relaxed — advisory busy-time tally (see field).
         self.router_busy_ns.load(AtomicOrdering::Relaxed)
@@ -201,42 +146,25 @@ impl ShardedEngine {
     }
 
     /// Estimated resident bytes of the engine: the index components
-    /// plus the id → lane table. Feeds the multi-tenant memory-budget
-    /// accountant.
+    /// plus the id → lane table.
     pub fn approx_resident_bytes(&self) -> usize {
         self.index.memory_report().total_bytes() + std::mem::size_of_val(self.owner.as_slice())
     }
 
-    /// Per-lane I/O counter snapshots, in lane order — the raw
-    /// material for per-shard candidate counts in serving stats.
+    /// Per-lane I/O counter snapshots, in lane order.
     pub fn per_shard_stats(&self) -> Vec<IoSnapshot> {
-        self.lanes.iter().map(|l| l.stats.snapshot()).collect()
+        self.lanes.iter().map(IoStats::snapshot).collect()
     }
 
-    /// Accumulated per-lane verification time in nanoseconds, in lane
-    /// order. `max` over lanes is the critical path of the measured
-    /// queries (the latency on a host with one core per lane); the
-    /// `sum` is the single-core cost.
-    pub fn per_shard_busy_ns(&self) -> Vec<u64> {
-        self.lanes
-            .iter()
-            // ordering: Relaxed — advisory busy-time tallies; readers
-            // tolerate slightly stale per-lane values.
-            .map(|l| l.busy_ns.load(AtomicOrdering::Relaxed))
-            .collect()
-    }
-
-    /// Zeroes every I/O counter and the busy-time accounting — the
-    /// sharded equivalent of the single-index full counter reset.
+    /// Zeroes every I/O counter and the router busy time — the sharded
+    /// equivalent of the single-index full counter reset.
     pub fn reset_stats(&self) {
-        for l in &self.lanes {
-            l.stats.reset();
-            // ordering: Relaxed — advisory stat reset; callers quiesce
-            // or tolerate increments from in-flight queries.
-            l.busy_ns.store(0, AtomicOrdering::Relaxed);
+        for lane in &self.lanes {
+            lane.reset();
         }
         self.index.stats().reset();
-        // ordering: Relaxed — advisory stat reset (see above).
+        // ordering: Relaxed — advisory stat reset; callers quiesce or
+        // tolerate increments from in-flight queries.
         self.router_busy_ns.store(0, AtomicOrdering::Relaxed);
     }
 
@@ -313,7 +241,7 @@ impl QueryLanes<'_> {
         let t0 = Instant::now();
         for &tr in batch {
             let lane = engine.owner[tr.index()] as usize;
-            engine.lanes[lane].stats.record_candidate();
+            engine.lanes[lane].record_candidate();
             self.groups[lane].push(tr);
         }
         engine.add_router_busy(t0.elapsed().as_nanos() as u64);
@@ -325,17 +253,12 @@ impl QueryLanes<'_> {
             }
         } else {
             let lanes = engine.lanes.iter().zip(&self.groups);
-            for (i, ((lane, group), scratch)) in lanes.zip(&mut self.scratches).enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let t0 = Instant::now();
+            for ((lane, group), scratch) in lanes.zip(&mut self.scratches) {
                 for &tr in group {
-                    if let Some(d) = verifier.verify(&lane.stats, tr, sink.cutoff(), scratch) {
+                    if let Some(d) = verifier.verify(lane, tr, sink.cutoff(), scratch) {
                         sink.offer(d, tr);
                     }
                 }
-                lane.add_busy(i, t0);
             }
         }
         for g in &mut self.groups {
@@ -355,23 +278,17 @@ impl QueryLanes<'_> {
             let lanes = self.engine.lanes.iter().zip(&self.groups);
             let handles: Vec<_> = lanes
                 .zip(&mut self.scratches)
-                .enumerate()
-                .filter(|(_, ((_, group), _))| !group.is_empty())
-                .map(|(i, ((lane, group), scratch))| {
+                .filter(|((_, group), _)| !group.is_empty())
+                .map(|((lane, group), scratch)| {
                     let sink = sink.clone();
                     scope.spawn(move || {
                         let _ctx = sink.map(atsq_obs::CounterScope::enter);
-                        let t0 = Instant::now();
-                        let found = group
+                        group
                             .iter()
                             .filter_map(|&tr| {
-                                verifier
-                                    .verify(&lane.stats, tr, dk, scratch)
-                                    .map(|d| (d, tr))
+                                verifier.verify(lane, tr, dk, scratch).map(|d| (d, tr))
                             })
-                            .collect();
-                        lane.add_busy(i, t0);
-                        found
+                            .collect()
                     })
                 })
                 .collect();
@@ -391,70 +308,19 @@ fn hash_assign(n: usize, shards: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Sorts trajectory centroids along the Z-order curve and cuts the
-/// sorted run into `shards` nearly-equal contiguous chunks.
-fn spatial_assign(dataset: &Dataset, shards: usize) -> Vec<u32> {
-    let bounds = dataset.bounds();
-    let norm = |v: f64, lo: f64, extent: f64| -> u32 {
-        if extent <= 0.0 {
-            return 0;
-        }
-        (((v - lo) / extent).clamp(0.0, 1.0) * f64::from(u16::MAX)) as u32
-    };
-    let mut keyed: Vec<(u64, TrajectoryId)> = dataset
-        .trajectories()
-        .iter()
-        .map(|tr| {
-            let c = centroid(tr.points.iter().map(|p| p.loc));
-            let code = morton_encode(
-                norm(c.x, bounds.min.x, bounds.width()),
-                norm(c.y, bounds.min.y, bounds.height()),
-            );
-            (code, tr.id)
-        })
-        .collect();
-    keyed.sort_unstable();
-    let n = keyed.len();
-    let (base, extra) = (n / shards, n % shards);
-    let mut owner = vec![0u32; n];
-    let mut rest = keyed.as_slice();
-    for s in 0..shards {
-        let (chunk, tail) = rest.split_at(base + usize::from(s < extra));
-        for &(_, id) in chunk {
-            owner[id.index()] = s as u32;
-        }
-        rest = tail;
-    }
-    owner
-}
-
-fn centroid(points: impl Iterator<Item = Point>) -> Point {
-    let (mut x, mut y, mut n) = (0.0f64, 0.0f64, 0usize);
-    for p in points {
-        x += p.x;
-        y += p.y;
-        n += 1;
-    }
-    if n == 0 {
-        Point::new(0.0, 0.0)
-    } else {
-        Point::new(x / n as f64, y / n as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::search;
-    use atsq_types::{ActivitySet, DatasetBuilder, QueryPoint, TrajectoryPoint};
+    use atsq_types::{ActivitySet, DatasetBuilder, Point, QueryPoint, TrajectoryPoint};
 
     fn dataset(n: usize) -> Dataset {
         let mut b = DatasetBuilder::new().without_frequency_ranking();
         for i in 0..8 {
             b.observe_activity(&format!("a{i}"));
         }
-        // Deterministic pseudo-random layout with enough structure for
-        // both partitioners to produce non-trivial shards.
+        // Deterministic pseudo-random layout, so every lane owns
+        // candidates.
         let mut x: u64 = 0x5DEECE66D;
         let mut next = || {
             x ^= x << 13;
@@ -499,39 +365,28 @@ mod tests {
     #[test]
     fn partitions_are_disjoint_and_complete() {
         let d = dataset(50);
-        for partition in [Partition::Hash, Partition::Spatial] {
-            for s in [1usize, 2, 3, 7] {
-                let engine = ShardedEngine::build(&d, s, partition).unwrap();
-                assert_eq!(engine.lanes.len(), s);
-                // One owner per trajectory, every owner a real lane.
-                assert_eq!(engine.owner.len(), d.len());
-                assert!(engine.owner.iter().all(|&lane| (lane as usize) < s));
-            }
+        for s in [1usize, 2, 3, 7] {
+            let engine = ShardedEngine::build(&d, s, Partition::Hash).unwrap();
+            assert_eq!(engine.lanes.len(), s);
+            // One owner per trajectory, every owner a real lane.
+            assert_eq!(engine.owner.len(), d.len());
+            assert!(engine.owner.iter().all(|&lane| (lane as usize) < s));
         }
-        // Spatial chunks are balanced to within one trajectory.
-        let engine = ShardedEngine::build(&d, 3, Partition::Spatial).unwrap();
-        let mut sizes = [0usize; 3];
-        for &lane in &engine.owner {
-            sizes[lane as usize] += 1;
-        }
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
     }
 
     #[test]
     fn sharded_matches_single_index_exactly() {
         let d = dataset(60);
         let single = GatIndex::build(&d).unwrap();
-        for partition in [Partition::Hash, Partition::Spatial] {
-            for s in [1usize, 2, 3, 7] {
-                let engine = ShardedEngine::build(&d, s, partition).unwrap();
-                for q in [query(10.0, 10.0), query(50.0, 80.0)] {
-                    for (kind, goal) in plans() {
-                        assert_eq!(
-                            engine.try_search(&d, &q, kind, goal).unwrap(),
-                            search(&single, &d, &q, kind, goal).unwrap(),
-                            "{kind:?} {goal:?} diverged (S={s}, {partition})"
-                        );
-                    }
+        for s in [1usize, 2, 3, 7] {
+            let engine = ShardedEngine::build(&d, s, Partition::Hash).unwrap();
+            for q in [query(10.0, 10.0), query(50.0, 80.0)] {
+                for (kind, goal) in plans() {
+                    assert_eq!(
+                        engine.try_search(&d, &q, kind, goal).unwrap(),
+                        search(&single, &d, &q, kind, goal).unwrap(),
+                        "{kind:?} {goal:?} diverged (S={s})"
+                    );
                 }
             }
         }
@@ -548,16 +403,11 @@ mod tests {
             stats.iter().map(|s| s.candidates_retrieved).sum::<u64>() > 0,
             "{stats:?}"
         );
-        assert!(
-            engine.per_shard_busy_ns().iter().sum::<u64>() > 0,
-            "searches must accrue busy time"
-        );
         engine.reset_stats();
         assert!(engine
             .per_shard_stats()
             .iter()
             .all(|s| s.candidates_retrieved == 0));
-        assert!(engine.per_shard_busy_ns().iter().all(|&ns| ns == 0));
     }
 
     #[test]
@@ -568,7 +418,7 @@ mod tests {
         let other = GatIndex::build(&dataset(4)).unwrap();
         assert!(ShardedEngine::from_index(other, &d, 2, Partition::Hash).is_err());
         let empty = DatasetBuilder::new().finish().unwrap();
-        let engine = ShardedEngine::build(&empty, 3, Partition::Spatial).unwrap();
+        let engine = ShardedEngine::build(&empty, 3, Partition::Hash).unwrap();
         let q = Query::new(vec![QueryPoint::new(
             Point::new(0.0, 0.0),
             ActivitySet::from_raw([1]),
@@ -585,17 +435,15 @@ mod tests {
     fn parallel_verify_path_matches_single_index() {
         let d = dataset(60);
         let single = GatIndex::build(&d).unwrap();
-        for partition in [Partition::Hash, Partition::Spatial] {
-            let mut engine = ShardedEngine::build(&d, 4, partition).unwrap();
-            engine.threads = 3;
-            for q in [query(10.0, 10.0), query(50.0, 80.0)] {
-                for (kind, goal) in plans() {
-                    assert_eq!(
-                        engine.try_search(&d, &q, kind, goal).unwrap(),
-                        search(&single, &d, &q, kind, goal).unwrap(),
-                        "parallel {kind:?} {goal:?} diverged ({partition})"
-                    );
-                }
+        let mut engine = ShardedEngine::build(&d, 4, Partition::Hash).unwrap();
+        engine.threads = 3;
+        for q in [query(10.0, 10.0), query(50.0, 80.0)] {
+            for (kind, goal) in plans() {
+                assert_eq!(
+                    engine.try_search(&d, &q, kind, goal).unwrap(),
+                    search(&single, &d, &q, kind, goal).unwrap(),
+                    "parallel {kind:?} {goal:?} diverged"
+                );
             }
         }
     }

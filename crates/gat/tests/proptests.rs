@@ -272,8 +272,8 @@ fn arb_tied_query() -> impl Strategy<Value = Query> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharding is a pure execution strategy: for every shard count,
-    /// either partitioner, and all four query kinds, the engine
+    /// Sharding is a pure execution strategy: for every shard count
+    /// and all four query kinds, the engine
     /// returns exactly what ranking the brute-force distances returns
     /// — ids, distances and tie-breaks included — on datasets built
     /// to tie at the k-th slot, with duplicate points and `k > n`.
@@ -298,21 +298,16 @@ proptest! {
         };
         let (dmm, dmom) = (oracle(brute_dmm), oracle(brute_dmom));
         for shards in [1usize, 2, 3, 7] {
-            for partition in [Partition::Hash, Partition::Spatial] {
-                let engine = ShardedEngine::build(&dataset, shards, partition)
-                    .expect("sharded engine");
-                for (kind, goal, want) in [
-                    (QueryKind::Atsq, Goal::TopK(k), rank_top_k(dmm.clone(), k)),
-                    (QueryKind::Oatsq, Goal::TopK(k), rank_top_k(dmom.clone(), k)),
-                    (QueryKind::Atsq, Goal::Range(tau), within(&dmm)),
-                    (QueryKind::Oatsq, Goal::Range(tau), within(&dmom)),
-                ] {
-                    let got = engine.try_search(&dataset, &query, kind, goal).expect("search");
-                    prop_assert_eq!(
-                        got, want,
-                        "{:?} {:?} diverged (S={}, {})", kind, goal, shards, partition
-                    );
-                }
+            let engine = ShardedEngine::build(&dataset, shards, Partition::Hash)
+                .expect("sharded engine");
+            for (kind, goal, want) in [
+                (QueryKind::Atsq, Goal::TopK(k), rank_top_k(dmm.clone(), k)),
+                (QueryKind::Oatsq, Goal::TopK(k), rank_top_k(dmom.clone(), k)),
+                (QueryKind::Atsq, Goal::Range(tau), within(&dmm)),
+                (QueryKind::Oatsq, Goal::Range(tau), within(&dmom)),
+            ] {
+                let got = engine.try_search(&dataset, &query, kind, goal).expect("search");
+                prop_assert_eq!(got, want, "{:?} {:?} diverged (S={})", kind, goal, shards);
             }
         }
     }

@@ -106,16 +106,14 @@ proptest! {
 
     /// A sharded engine over an index restored from the cache answers
     /// every query kind exactly like the engine built directly, for
-    /// S ∈ {1, 2, 4} and both partitioners — from the one snapshot.
+    /// S ∈ {1, 2, 4} — from the one snapshot.
     #[test]
     fn loaded_sharded_engine_answers_identically(
         dataset in arb_dataset(),
         query in arb_query(),
         k in 1usize..7,
         tau in 0.0f64..15.0,
-        spatial in any::<bool>(),
     ) {
-        let partition = if spatial { Partition::Spatial } else { Partition::Hash };
         let dir = std::env::temp_dir().join(format!(
             "atsq-snapshot-proptest-{}",
             std::process::id()
@@ -126,10 +124,10 @@ proptest! {
             .save_index(&dataset, &GatIndex::build_with(&dataset, config).expect("build"))
             .expect("save");
         for shards in [1usize, 2, 4] {
-            let built = ShardedEngine::build_with(&dataset, shards, partition, config)
+            let built = ShardedEngine::build_with(&dataset, shards, Partition::Hash, config)
                 .expect("build sharded");
             let index = cache.load_index(&dataset, &config).expect("load");
-            let loaded = ShardedEngine::from_index(index, &dataset, shards, partition)
+            let loaded = ShardedEngine::from_index(index, &dataset, shards, Partition::Hash)
                 .expect("shard the loaded index");
             for (kind, goal) in plans(k, tau) {
                 prop_assert_eq!(

@@ -22,7 +22,6 @@
 //! is a thread-local flag test — cheap enough to leave enabled on
 //! every engine path.
 
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,9 +79,9 @@ impl QueryCounters {
     }
 }
 
-/// The destination of one query's counter deltas. Atomic because
-/// several threads (the sharded engine's lanes) may flush into the
-/// same query's sink concurrently.
+/// The destination of one query's counter deltas. Atomic, with no
+/// lock, because several threads (the sharded engine's lanes) may
+/// flush into the same query's sink concurrently.
 #[derive(Debug, Default)]
 pub struct CounterSink {
     candidates: AtomicU64,
@@ -91,10 +90,6 @@ pub struct CounterSink {
     tas_false_positives: AtomicU64,
     apl_reads: AtomicU64,
     cold_reads: AtomicU64,
-    /// Busy nanoseconds per engine shard for this query, indexed by
-    /// shard. Cold path (one update per shard per query), so a mutex
-    /// is fine.
-    shard_busy_ns: Mutex<Vec<u64>>,
 }
 
 impl CounterSink {
@@ -125,15 +120,6 @@ impl CounterSink {
             .fetch_add(delta.cold_reads, Ordering::Relaxed);
     }
 
-    /// Adds busy time for one engine shard.
-    pub fn add_shard_busy(&self, shard: usize, ns: u64) {
-        let mut busy = self.shard_busy_ns.lock();
-        if busy.len() <= shard {
-            busy.resize(shard + 1, 0);
-        }
-        busy[shard] += ns;
-    }
-
     /// The accumulated counter delta.
     pub fn counters(&self) -> QueryCounters {
         // coherence: not a point-in-time cut across the six counters —
@@ -149,12 +135,6 @@ impl CounterSink {
             apl_reads: self.apl_reads.load(Ordering::Relaxed),
             cold_reads: self.cold_reads.load(Ordering::Relaxed),
         }
-    }
-
-    /// The accumulated per-shard busy time (empty for unsharded
-    /// engines).
-    pub fn shard_busy_ns(&self) -> Vec<u64> {
-        self.shard_busy_ns.lock().clone()
     }
 }
 
@@ -249,20 +229,6 @@ record_fn!(
     record_cold_read,
     cold_reads
 );
-
-/// Adds `ns` of busy time for engine shard `shard` to the innermost
-/// active scope's sink. No-op without an active scope.
-pub fn record_shard_busy(shard: usize, ns: u64) {
-    CTX.with(|c| {
-        if !c.active.get() {
-            return;
-        }
-        let stack = c.stack.borrow();
-        if let Some(frame) = stack.last() {
-            frame.sink.add_shard_busy(shard, ns);
-        }
-    });
-}
 
 /// The sink of the innermost active scope on this thread, if any.
 /// Engines that fan a query out to worker threads capture this on the
@@ -392,7 +358,6 @@ mod tests {
                         let _s = CounterScope::enter(shared.clone());
                         record_candidate();
                         record_distance_eval();
-                        record_shard_busy(1, 10);
                     }
                     done.send(()).unwrap();
                 });
@@ -407,7 +372,6 @@ mod tests {
         let c = sink.counters();
         assert_eq!(c.candidates, THREADS * SCOPES + 1, "flushes lost");
         assert_eq!(c.distance_evals, THREADS * SCOPES, "flushes lost");
-        assert_eq!(sink.shard_busy_ns(), vec![0, 10 * THREADS * SCOPES]);
     }
 
     #[test]

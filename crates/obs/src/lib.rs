@@ -18,7 +18,7 @@
 //!   request stages (admission → queue → cache → assembly → engine →
 //!   reply) whose durations telescope exactly to the end-to-end
 //!   latency, and a [`TraceReport`] carries the breakdown together
-//!   with the query's counter delta and per-shard busy time.
+//!   with the query's counter delta.
 //! * [`slowlog`] — a bounded **slow-query ring buffer** with a
 //!   latency threshold and a force flag for always-sampling the tail.
 //! * [`prom`] — a tiny **Prometheus text-format** writer (counters,
@@ -37,8 +37,7 @@ pub mod span;
 
 pub use counters::{
     current_sink, record_apl_read, record_candidate, record_cold_read, record_distance_eval,
-    record_shard_busy, record_tas_check, record_tas_false_positive, CounterScope, CounterSink,
-    QueryCounters,
+    record_tas_check, record_tas_false_positive, CounterScope, CounterSink, QueryCounters,
 };
 pub use prom::PromText;
 pub use slowlog::{SlowEntry, SlowLog};

@@ -182,14 +182,14 @@ mod tests {
     fn families_carry_labels() {
         let mut p = PromText::new();
         p.counter_family(
-            "atsq_shard_candidates_total",
-            "Candidates per shard.",
-            "shard",
-            [("0".to_owned(), 5), ("1".to_owned(), 7)],
+            "atsq_city_loads_total",
+            "Loads per city.",
+            "city",
+            [("tokyo".to_owned(), 5), ("osaka".to_owned(), 7)],
         );
         let text = p.finish();
-        assert!(text.contains("atsq_shard_candidates_total{shard=\"0\"} 5\n"));
-        assert!(text.contains("atsq_shard_candidates_total{shard=\"1\"} 7\n"));
+        assert!(text.contains("atsq_city_loads_total{city=\"tokyo\"} 5\n"));
+        assert!(text.contains("atsq_city_loads_total{city=\"osaka\"} 7\n"));
     }
 
     #[test]

@@ -95,7 +95,6 @@ mod tests {
             total_ns,
             stage_ns: [0, 0, 0, 0, total_ns, 0],
             counters: QueryCounters::default(),
-            shard_busy_ns: Vec::new(),
         }
     }
 

@@ -94,7 +94,6 @@ impl StageClock {
         status: &'static str,
         cached: bool,
         counters: QueryCounters,
-        shard_busy_ns: Vec<u64>,
     ) -> TraceReport {
         TraceReport {
             request_id,
@@ -104,7 +103,6 @@ impl StageClock {
             total_ns: self.stage_ns.iter().sum(),
             stage_ns: self.stage_ns,
             counters,
-            shard_busy_ns,
         }
     }
 }
@@ -126,9 +124,6 @@ pub struct TraceReport {
     pub stage_ns: [u64; STAGES],
     /// This query's engine work-counter delta.
     pub counters: QueryCounters,
-    /// Engine busy nanoseconds per shard for this query (empty when
-    /// the engine is unsharded or the query never reached the engine).
-    pub shard_busy_ns: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -145,7 +140,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         clock.mark(Stage::Engine);
         clock.mark(Stage::Reply);
-        let report = clock.finish(7, "atsq", "ok", false, QueryCounters::default(), vec![]);
+        let report = clock.finish(7, "atsq", "ok", false, QueryCounters::default());
         assert_eq!(report.request_id, 7);
         assert_eq!(report.stage_ns.iter().sum::<u64>(), report.total_ns);
         assert!(report.stage_ns[Stage::Queue as usize] >= 1_000_000);

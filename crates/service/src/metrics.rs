@@ -1,9 +1,9 @@
 //! Prometheus text rendering of the service's metric surface.
 //!
 //! One function, [`render`], turns a [`StatsSnapshot`] (plus the
-//! per-shard busy times, the slow-log depth and the startup
-//! provenance) into the exposition text served by the wire `metrics`
-//! op and the `atsq metrics` CLI. Metric names are stable API:
+//! slow-log depth, the startup provenance and the hosted cities) into
+//! the exposition text served by the wire `metrics` op and the `atsq
+//! metrics` CLI. Metric names are stable API:
 //!
 //! * `atsq_requests_*_total` — admission/terminal request counters.
 //! * `atsq_cache_*` — result-cache traffic and hit rate.
@@ -16,10 +16,6 @@
 //! * `atsq_serialize_seconds_total` — response wire-encode time.
 //! * `atsq_engine_*_total`, `atsq_engine_prune_ratio` — engine work
 //!   counters (pruning attribution).
-//! * `atsq_shard_candidates_total{shard=…}`,
-//!   `atsq_shard_busy_seconds_total{shard=…}` — per-shard load.
-//! * `atsq_router_busy_seconds_total` — time the sharded engine's
-//!   shared candidate traversal spent routing (absent unsharded).
 //! * `atsq_slowlog_entries` — slow-query log depth.
 //! * `atsq_index_startup_seconds`, `atsq_index_loaded_from_snapshot`
 //!   — cold-start provenance.
@@ -35,8 +31,6 @@ use atsq_tenant::CityInfo;
 /// Renders the full metrics surface in Prometheus text format.
 pub fn render(
     snap: &StatsSnapshot,
-    shard_busy_ns: &[u64],
-    router_busy_ns: Option<u64>,
     slowlog_len: usize,
     startup: StartupInfo,
     cities: &[CityInfo],
@@ -175,34 +169,6 @@ pub fn render(
         snap.engine.prune_ratio(),
     );
 
-    p.counter_family(
-        "atsq_shard_candidates_total",
-        "Candidate trajectories per index shard.",
-        "shard",
-        snap.shard_candidates
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i.to_string(), c)),
-    );
-    if !shard_busy_ns.is_empty() {
-        p.counter_family_f64(
-            "atsq_shard_busy_seconds_total",
-            "Engine busy time per index shard.",
-            "shard",
-            shard_busy_ns
-                .iter()
-                .enumerate()
-                .map(|(i, &ns)| (i.to_string(), ns as f64 / 1e9)),
-        );
-    }
-    if let Some(ns) = router_busy_ns {
-        p.counter_f64(
-            "atsq_router_busy_seconds_total",
-            "Shared-traversal candidate routing time (sharded engine).",
-            ns as f64 / 1e9,
-        );
-    }
-
     p.gauge(
         "atsq_slowlog_entries",
         "Entries currently held by the slow-query log.",
@@ -301,12 +267,9 @@ mod tests {
                 distance_evals: 4,
                 ..EngineCounters::default()
             },
-            vec![6, 4],
         );
         let text = render(
             &snap,
-            &[1_500_000_000, 500_000_000],
-            Some(250_000_000),
             3,
             StartupInfo {
                 engine_build: Some(Duration::from_millis(250)),
@@ -320,9 +283,6 @@ mod tests {
         assert!(text.contains("atsq_queue_depth 1\n"));
         assert!(text.contains("atsq_engine_candidates_total 10\n"));
         assert!(text.contains("atsq_engine_prune_ratio 0.6\n"));
-        assert!(text.contains("atsq_shard_candidates_total{shard=\"0\"} 6\n"));
-        assert!(text.contains("atsq_shard_busy_seconds_total{shard=\"0\"} 1.5\n"));
-        assert!(text.contains("atsq_router_busy_seconds_total 0.25\n"));
         assert!(text.contains("atsq_slowlog_entries 3\n"));
         assert!(text.contains("atsq_index_startup_seconds 0.25\n"));
         assert!(text.contains("atsq_index_loaded_from_snapshot 1\n"));
@@ -344,12 +304,10 @@ mod tests {
     #[test]
     fn startup_metrics_absent_without_provenance() {
         let stats = ServiceStats::default();
-        let snap = stats.snapshot(0, EngineCounters::default(), vec![0]);
-        let text = render(&snap, &[], None, 0, StartupInfo::default(), &[]);
+        let snap = stats.snapshot(0, EngineCounters::default());
+        let text = render(&snap, 0, StartupInfo::default(), &[]);
         assert!(!text.contains("atsq_index_startup_seconds"));
         assert!(!text.contains("atsq_index_loaded_from_snapshot"));
-        assert!(!text.contains("atsq_shard_busy_seconds_total"));
-        assert!(!text.contains("atsq_router_busy_seconds_total"));
         assert!(!text.contains("atsq_city_state"));
     }
 
@@ -357,7 +315,7 @@ mod tests {
     fn city_families_render_per_city_samples() {
         use atsq_tenant::{CityId, TenantState};
         let stats = ServiceStats::default();
-        let snap = stats.snapshot(0, EngineCounters::default(), vec![0]);
+        let snap = stats.snapshot(0, EngineCounters::default());
         let cities = vec![
             CityInfo {
                 city: CityId::new("tokyo").unwrap(),
@@ -391,7 +349,7 @@ mod tests {
                 last_error: None,
             },
         ];
-        let text = render(&snap, &[], None, 0, StartupInfo::default(), &cities);
+        let text = render(&snap, 0, StartupInfo::default(), &cities);
         assert!(
             text.contains("atsq_city_state{city=\"tokyo\"} 2\n"),
             "{text}"

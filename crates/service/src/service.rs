@@ -4,7 +4,7 @@ use crate::cache::LruCache;
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{CacheKey, Request, Response};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use atsq_core::{CacheOutcome, Engine, IndexCache, Partition, QueryEngine};
+use atsq_core::{CacheOutcome, Engine, IndexCache, Partition, Profiled, QueryEngine};
 use atsq_obs::{CounterScope, CounterSink, SlowEntry, SlowLog, Stage, StageClock, TraceReport};
 use atsq_tenant::{CityId, CityInfo, CityLease, CityRegistry, TenantError};
 use atsq_types::{Dataset, QueryResult, Result as LibResult};
@@ -29,20 +29,9 @@ pub struct ServiceConfig {
     /// Deadline applied to requests submitted without one. `None`
     /// means such requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Verification lanes ([`Service::build`] only): `1` serves the
-    /// index behind a [`GatEngine`](atsq_core::GatEngine); above that a
-    /// [`ShardedEngine`](atsq_core::ShardedEngine) verifies each
-    /// query's candidates on that many lanes of the same index in
-    /// parallel. Per-query shard threads multiply with `workers`: the
-    /// engine spawns up to `min(shards, cores)` threads per query, so
-    /// a sharded engine under saturating load oversubscribes the
-    /// cores.
-    pub shards: usize,
-    /// How trajectories map to shards when `shards > 1`.
-    pub partition: Partition,
     /// Directory of persistent index snapshots ([`Service::build`]
     /// only). When set, startup loads a validated snapshot of the GAT
-    /// (or sharded) index instead of rebuilding it — snapshots are
+    /// index instead of rebuilding it — snapshots are
     /// keyed by the dataset's content hash, so a stale or corrupt file
     /// falls back to a fresh build whose snapshot is saved for the
     /// next start. `None` always builds in process.
@@ -74,8 +63,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             cache_capacity: 4096,
             default_deadline: None,
-            shards: 1,
-            partition: Partition::Hash,
             index_cache: None,
             tracing: true,
             slowlog_capacity: 128,
@@ -223,9 +210,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds the engine for `dataset` — a single GAT index, or a
-    /// [`ShardedEngine`](atsq_core::ShardedEngine) when
-    /// `config.shards > 1` — and starts the service. With
+    /// Builds the GAT engine for `dataset` — one index, verified on
+    /// one lane — and starts the service. With
     /// `config.index_cache` set, the index is loaded
     /// from a validated snapshot when one exists (see
     /// [`atsq_core::IndexCache`]); otherwise it is built fresh and
@@ -246,8 +232,7 @@ impl Service {
     ) -> LibResult<(Self, Option<CacheOutcome>)> {
         let cache = config.index_cache.as_ref().map(IndexCache::new);
         let t0 = Instant::now();
-        let (engine, outcome) =
-            Engine::build_gat(&dataset, config.shards, config.partition, cache.as_ref())?;
+        let (engine, outcome) = Engine::build_gat(&dataset, 1, Partition::Hash, cache.as_ref())?;
         let startup = StartupInfo {
             engine_build: Some(t0.elapsed()),
             loaded_from_snapshot: outcome.as_ref().map(CacheOutcome::loaded),
@@ -440,30 +425,21 @@ impl ServiceHandle {
         self.submit(request)?.wait().ok_or(SubmitError::Stopped)
     }
 
-    /// Snapshot of the service counters, including per-shard candidate
-    /// counts when the served engine is sharded. The engine counters
-    /// are read once and the aggregate derived from the per-shard
-    /// pass, so `sum(shard_candidates) == engine.candidates` holds
-    /// even while workers are executing.
+    /// Snapshot of the service counters, with the served engine's work
+    /// counters ([`Profiled::counters`]).
     ///
     /// Engine counters are scoped to the **default city** (all there is
     /// under single-city serving); per-city counters for every tenant
     /// are on [`ServiceHandle::cities`]. A non-resident default city
     /// reports zeros rather than forcing a load.
     pub fn stats(&self) -> StatsSnapshot {
-        let (per_shard, router) = match self.shared.registry.peek_engine(&self.shared.default_city)
-        {
-            Some(engine) => (engine.per_shard_counters(), engine.router_counters()),
-            None => (Vec::new(), None),
-        };
-        let shard_candidates = per_shard.iter().map(|c| c.candidates).collect();
-        // The router contributes no candidates (each is charged to its
-        // owner shard), so the per-shard sum invariant above survives
-        // folding its cold-read counters into the aggregate.
-        let engine = atsq_core::EngineCounters::sum(per_shard.into_iter().chain(router));
-        self.shared
-            .stats
-            .snapshot(self.shared.queue.len(), engine, shard_candidates)
+        let engine = self
+            .shared
+            .registry
+            .peek_engine(&self.shared.default_city)
+            .map(|engine| engine.counters())
+            .unwrap_or_default();
+        self.shared.stats.snapshot(self.shared.queue.len(), engine)
     }
 
     /// The default city's dataset, loading it if necessary.
@@ -529,22 +505,15 @@ impl ServiceHandle {
 
     /// The full metrics surface rendered in Prometheus text format —
     /// request/cache/queue counters, the latency histogram, per-stage
-    /// and per-shard aggregates, startup provenance, and the
-    /// `atsq_city_*` per-tenant families. This backs the wire `metrics`
-    /// op and the `atsq metrics` CLI.
+    /// aggregates, startup provenance, and the `atsq_city_*`
+    /// per-tenant families. This backs the wire `metrics` op and the
+    /// `atsq metrics` CLI.
     pub fn metrics_text(&self) -> String {
-        let (shard_busy_ns, router_busy_ns) =
-            match self.shared.registry.peek_engine(&self.shared.default_city) {
-                Some(engine) => (engine.per_shard_busy_ns(), engine.router_busy_ns()),
-                None => (Vec::new(), None),
-            };
         // Copied out so the startup lock is not held across the
         // registry's lock in `cities()`.
         let startup = *self.shared.startup.lock();
         crate::metrics::render(
             &self.stats(),
-            &shard_busy_ns,
-            router_busy_ns,
             self.shared.slowlog.len(),
             startup,
             &self.shared.registry.cities(),
@@ -678,19 +647,9 @@ fn finish(
     let report = job.clock.map(|mut clock| {
         clock.mark(Stage::Reply);
         shared.stats.record_stages(&clock.stage_ns());
-        let (counters, shard_busy_ns) = match sink {
-            Some(s) => (s.counters(), s.shard_busy_ns()),
-            None => Default::default(),
-        };
+        let counters = sink.map(|s| s.counters()).unwrap_or_default();
         let cached = response.is_cached();
-        let report = clock.finish(
-            job.id,
-            job.request.op(),
-            status,
-            cached,
-            counters,
-            shard_busy_ns,
-        );
+        let report = clock.finish(job.id, job.request.op(), status, cached, counters);
         let p99_floor = shared.stats.p99_floor_us().saturating_mul(1_000);
         let force = p99_floor > 0 && report.total_ns >= p99_floor;
         shared.slowlog.offer(report.clone(), force);
@@ -905,89 +864,48 @@ mod tests {
         assert_eq!(snap.completed, 0);
     }
 
-    /// A sharded service answers byte-identically to the single-index
-    /// engine and reports per-shard candidate counts.
-    #[test]
-    fn sharded_service_matches_single_index() {
-        let dataset = generate(&CityConfig::tiny(23)).unwrap();
-        let queries = generate_queries(&dataset, &QueryGenConfig::default(), 6);
-        let single = atsq_core::GatEngine::build(&dataset).unwrap();
-        let service = Service::build(
-            dataset.clone(),
-            ServiceConfig {
-                workers: 2,
-                shards: 4,
-                partition: Partition::Spatial,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let handle = service.handle();
-        assert!(matches!(handle.engine().as_ref(), Engine::Sharded(_)));
-        for q in &queries {
-            let via_service = handle
-                .call(Request::Atsq {
-                    query: q.clone(),
-                    k: 5,
-                })
-                .unwrap();
-            let direct = single.atsq(&dataset, q, 5);
-            assert_eq!(via_service.results().unwrap(), direct.as_slice());
-        }
-        let snap = handle.stats();
-        assert_eq!(snap.shard_candidates.len(), 4);
-        assert!(snap.shard_candidates.iter().sum::<u64>() > 0, "{snap:?}");
-        assert_eq!(
-            snap.shard_candidates.iter().sum::<u64>(),
-            snap.engine.candidates
-        );
-        service.shutdown();
-    }
-
     /// The cold-start path: a service started with an index cache
     /// snapshots its index; a second start loads the snapshot and
-    /// serves byte-identical answers, single and sharded.
+    /// serves byte-identical answers.
     #[test]
     fn index_cache_restart_serves_identical_answers() {
         let dataset = generate(&CityConfig::tiny(31)).unwrap();
         let queries = generate_queries(&dataset, &QueryGenConfig::default(), 5);
         let dir = std::env::temp_dir().join(format!("atsq-service-cache-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        for shards in [1usize, 2] {
-            let config = || ServiceConfig {
-                workers: 2,
-                shards,
-                index_cache: Some(dir.clone()),
-                ..ServiceConfig::default()
-            };
-            let first = Service::build(dataset.clone(), config()).unwrap();
-            let answers: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    first
-                        .handle()
-                        .call(Request::Atsq {
-                            query: q.clone(),
-                            k: 5,
-                        })
-                        .unwrap()
-                })
-                .collect();
-            first.shutdown();
-            // "Restart": a fresh service over the same dataset + cache.
-            let second = Service::build(dataset.clone(), config()).unwrap();
-            for (q, want) in queries.iter().zip(&answers) {
-                let got = second
+        let config = || ServiceConfig {
+            workers: 2,
+            index_cache: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        let first = Service::build(dataset.clone(), config()).unwrap();
+        let answers: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                first
                     .handle()
                     .call(Request::Atsq {
                         query: q.clone(),
                         k: 5,
                     })
-                    .unwrap();
-                assert_eq!(got.results(), want.results(), "shards={shards}");
-            }
-            second.shutdown();
+                    .unwrap()
+            })
+            .collect();
+        first.shutdown();
+        // "Restart": a fresh service over the same dataset + cache.
+        let (second, outcome) = Service::build_with_outcome(dataset.clone(), config()).unwrap();
+        assert!(outcome.is_some_and(|o| o.loaded()), "the restart loads");
+        for (q, want) in queries.iter().zip(&answers) {
+            let got = second
+                .handle()
+                .call(Request::Atsq {
+                    query: q.clone(),
+                    k: 5,
+                })
+                .unwrap();
+            assert_eq!(got.results(), want.results());
         }
+        second.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -206,12 +206,7 @@ impl ServiceStats {
     /// burst when it is next consumed. Concurrent snapshot takers
     /// share one window, so a given consumer sees the rate since
     /// *someone* last looked — the usual scrape model.
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        engine: EngineCounters,
-        shard_candidates: Vec<u64>,
-    ) -> StatsSnapshot {
+    pub fn snapshot(&self, queue_depth: usize, engine: EngineCounters) -> StatsSnapshot {
         // coherence: the snapshot's loads are not a point-in-time cut
         // across counters (documented above) — each value is exact on
         // its own and the derived figures clamp; only the QPS window
@@ -287,7 +282,6 @@ impl ServiceStats {
             serialize_ns: self.serialize_ns.load(Ordering::Relaxed),
             serialize_count: self.serialize_count.load(Ordering::Relaxed),
             engine,
-            shard_candidates,
         }
     }
 }
@@ -392,9 +386,6 @@ pub struct StatsSnapshot {
     pub serialize_count: u64,
     /// Work counters of the underlying engine.
     pub engine: EngineCounters,
-    /// Candidate counts per shard — one entry per shard for a sharded
-    /// engine, a single aggregate entry otherwise.
-    pub shard_candidates: Vec<u64>,
 }
 
 impl StatsSnapshot {
@@ -431,12 +422,7 @@ impl fmt::Display for StatsSnapshot {
             self.cache_hit_rate() * 100.0,
             self.failed,
             self.engine.distance_evals
-        )?;
-        if self.shard_candidates.len() > 1 {
-            let counts: Vec<String> = self.shard_candidates.iter().map(u64::to_string).collect();
-            write!(f, "\nshard candidates [{}]", counts.join(", "))?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -456,7 +442,7 @@ mod tests {
         s.record_completed(Duration::from_micros(800));
         // Let the QPS window clear its 10 ms floor so the rate is live.
         std::thread::sleep(Duration::from_millis(12));
-        let snap = s.snapshot(3, EngineCounters::default(), vec![0]);
+        let snap = s.snapshot(3, EngineCounters::default());
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.expired, 1);
@@ -483,7 +469,7 @@ mod tests {
         for _ in 0..10 {
             s.record_completed(Duration::from_millis(500));
         }
-        let snap = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let snap = s.snapshot(0, EngineCounters::default());
         assert!(snap.p50_ms < 4.0, "p50 {}", snap.p50_ms);
         assert!(snap.p99_ms > 100.0, "p99 {}", snap.p99_ms);
         assert!(snap.p50_ms <= snap.p90_ms && snap.p90_ms <= snap.p99_ms);
@@ -492,7 +478,7 @@ mod tests {
     #[test]
     fn empty_histogram_reports_zero() {
         let s = ServiceStats::default();
-        let snap = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let snap = s.snapshot(0, EngineCounters::default());
         assert_eq!(snap.p50_ms, 0.0);
         assert_eq!(snap.cache_hit_rate(), 0.0);
     }
@@ -508,11 +494,11 @@ mod tests {
             s.record_completed(Duration::from_micros(100));
         }
         std::thread::sleep(Duration::from_millis(12));
-        let first = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let first = s.snapshot(0, EngineCounters::default());
         assert!(first.qps > 0.0);
         // Idle period, then one snapshot: zero completions in window.
         std::thread::sleep(Duration::from_millis(30));
-        let idle = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let idle = s.snapshot(0, EngineCounters::default());
         assert_eq!(idle.qps, 0.0, "no completions since last snapshot");
         // A burst right after the idle window rates against the short
         // recent window, not lifetime uptime: 50 completions within
@@ -522,7 +508,7 @@ mod tests {
             s.record_completed(Duration::from_micros(100));
         }
         std::thread::sleep(Duration::from_millis(12));
-        let burst = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let burst = s.snapshot(0, EngineCounters::default());
         let lifetime = burst.completed as f64 / burst.uptime.as_secs_f64();
         assert!(
             burst.qps > lifetime,
@@ -530,9 +516,6 @@ mod tests {
             burst.qps,
             lifetime
         );
-        // Display mentions per-shard candidates only when sharded.
-        let sharded = s.snapshot(0, EngineCounters::default(), vec![3, 4]);
-        assert!(sharded.to_string().contains("shard candidates [3, 4]"));
     }
 
     /// The regression the minimum-window guard fixes: two back-to-back
@@ -547,7 +530,7 @@ mod tests {
             s.record_completed(Duration::from_micros(100));
         }
         std::thread::sleep(Duration::from_millis(12));
-        let first = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let first = s.snapshot(0, EngineCounters::default());
         assert!(first.qps > 0.0 && first.qps < 20_000.0, "{}", first.qps);
         // Burst + immediate snapshot: the window is normally only
         // microseconds long here, so the guard carries the previous
@@ -559,7 +542,7 @@ mod tests {
         for _ in 0..1000 {
             s.record_completed(Duration::from_micros(100));
         }
-        let spike = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let spike = s.snapshot(0, EngineCounters::default());
         let ceiling = 1020.0 / 0.010;
         assert!(
             spike.qps <= ceiling,
@@ -569,7 +552,7 @@ mod tests {
         // Once the window clears the floor, the burst is rated over a
         // real window — large, but still bounded by the same ceiling.
         std::thread::sleep(Duration::from_millis(12));
-        let settled = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let settled = s.snapshot(0, EngineCounters::default());
         if spike.qps == first.qps {
             // The spike call carried (no stall): the accumulating
             // window kept the burst and it must show up now.
@@ -592,7 +575,7 @@ mod tests {
         s.record_completed(Duration::ZERO);
         s.record_completed(Duration::from_nanos(1));
         s.record_completed(Duration::from_nanos(999));
-        let snap = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let snap = s.snapshot(0, EngineCounters::default());
         assert_eq!(snap.completed, 3);
         // All three sit in bucket 0: its geometric midpoint is √2 µs.
         let first_bucket_ms = std::f64::consts::SQRT_2 / 1e3;
@@ -608,7 +591,7 @@ mod tests {
         let s = ServiceStats::default();
         s.record_completed(Duration::from_secs(60 * 60 * 24 * 365)); // a year
         s.record_completed(Duration::MAX);
-        let snap = s.snapshot(0, EngineCounters::default(), vec![0]);
+        let snap = s.snapshot(0, EngineCounters::default());
         assert_eq!(snap.completed, 2);
         let last_bucket_ms = ((1u64 << (BUCKETS - 1)) as f64) * std::f64::consts::SQRT_2 / 1e3;
         assert!(

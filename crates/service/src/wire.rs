@@ -421,15 +421,6 @@ pub fn encode_slowlog(entries: &[SlowEntry]) -> Value {
                 ("total_ms", Value::Num(r.total_ns as f64 / 1e6)),
                 ("stages", stages),
                 ("counters", counters),
-                (
-                    "shard_busy_ms",
-                    Value::Arr(
-                        r.shard_busy_ns
-                            .iter()
-                            .map(|&ns| Value::Num(ns as f64 / 1e6))
-                            .collect(),
-                    ),
-                ),
             ])
         })
         .collect();
@@ -460,15 +451,6 @@ pub fn encode_stats(snap: &StatsSnapshot) -> Value {
         (
             "distance_evals",
             Value::Num(snap.engine.distance_evals as f64),
-        ),
-        (
-            "shard_candidates",
-            Value::Arr(
-                snap.shard_candidates
-                    .iter()
-                    .map(|&c| Value::Num(c as f64))
-                    .collect(),
-            ),
         ),
     ])
 }
@@ -809,7 +791,6 @@ mod tests {
                     apl_reads: 5,
                     cold_reads: 2,
                 },
-                shard_busy_ns: vec![1_000_000, 500_000],
             },
             recorded_at: Instant::now(),
         };
@@ -837,8 +818,5 @@ mod tests {
             counters.get("cold_reads").and_then(Value::as_f64),
             Some(2.0)
         );
-        let busy = e.get("shard_busy_ms").and_then(Value::as_arr).unwrap();
-        assert_eq!(busy.len(), 2);
-        assert_eq!(busy[0].as_f64(), Some(1.0));
     }
 }

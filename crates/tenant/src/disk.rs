@@ -32,29 +32,14 @@ pub const CITY_DATASET_FILE: &str = "city.atsq";
 pub const CITY_INDEX_DIR: &str = "index";
 
 /// Options for [`registry_from_dir`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DiskRegistryOptions {
-    /// Shards per city engine (`> 1` builds a sharded engine).
-    pub shards: usize,
-    /// Partitioning strategy for sharded engines.
-    pub partition: Partition,
     /// Estimated resident-byte ceiling across `Ready` cities
     /// (`None` = never evict).
     pub memory_budget: Option<u64>,
     /// City used when requests name none; defaults to the
     /// alphabetically first subdirectory.
     pub default_city: Option<String>,
-}
-
-impl Default for DiskRegistryOptions {
-    fn default() -> Self {
-        DiskRegistryOptions {
-            shards: 1,
-            partition: Partition::Hash,
-            memory_budget: None,
-            default_city: None,
-        }
-    }
 }
 
 /// Scans `dir` for city subdirectories and returns a registry with one
@@ -96,30 +81,23 @@ pub fn registry_from_dir(
         let factory = snapshot_factory(
             city_dir.join(CITY_DATASET_FILE),
             city_dir.join(CITY_INDEX_DIR),
-            opts.shards,
-            opts.partition,
         );
         registry.add_city(city, factory)?;
     }
     Ok(registry)
 }
 
-/// Factory that reads a dataset file and builds its engine through a
-/// per-city [`IndexCache`] (snapshot load when valid, build + save
+/// Factory that reads a dataset file and builds its GAT engine through
+/// a per-city [`IndexCache`] (snapshot load when valid, build + save
 /// otherwise).
-pub fn snapshot_factory(
-    dataset_path: PathBuf,
-    index_dir: PathBuf,
-    shards: usize,
-    partition: Partition,
-) -> EngineFactory {
+pub fn snapshot_factory(dataset_path: PathBuf, index_dir: PathBuf) -> EngineFactory {
     Arc::new(move || {
         let file =
             File::open(&dataset_path).map_err(|e| format!("{}: {e}", dataset_path.display()))?;
         let dataset = atsq_io::read_dataset(BufReader::new(file))
             .map_err(|e| format!("{}: {e}", dataset_path.display()))?;
         let cache = IndexCache::new(&index_dir);
-        let (engine, outcome) = Engine::build_gat(&dataset, shards, partition, Some(&cache))
+        let (engine, outcome) = Engine::build_gat(&dataset, 1, Partition::Hash, Some(&cache))
             .map_err(|e| e.to_string())?;
         Ok(LoadedCity {
             dataset: Arc::new(dataset),

@@ -462,7 +462,8 @@ impl CityRegistry {
     ///
     /// Returns a [`CityLease`] pinning the city resident until dropped.
     /// Concurrent calls for a city that is `Loading` wait for the one
-    /// in-progress load instead of duplicating it.
+    /// in-progress load instead of duplicating it. Every resolve runs
+    /// the eviction pass, which never selects the resolved city.
     pub fn resolve(&self, city: &CityId) -> Result<CityLease, TenantError> {
         self.resolve_counted(city, true)
     }
@@ -484,6 +485,11 @@ impl CityRegistry {
                 TenantState::Ready => {
                     let entry = inner.entries.get_mut(city).expect("checked above");
                     let lease = Self::lease_ready(entry, city, count_query, false);
+                    // A lease that blocked an earlier pass may since have
+                    // dropped, so the registry can still be over budget.
+                    let victims = self.collect_victims(&mut inner, Some(city));
+                    drop(inner);
+                    self.finish_evictions(victims);
                     return Ok(lease);
                 }
                 TenantState::Loading => {
@@ -1042,11 +1048,48 @@ mod tests {
                 )
                 .unwrap();
         }
+        // ordering: Relaxed — single-threaded test read.
+        let calls_now = || calls.load(Ordering::Relaxed);
         drop(registry.resolve(&id("a")).unwrap());
         drop(registry.resolve(&id("b")).unwrap()); // evicts `a`
         registry.unload(&id("b")).unwrap();
-        // ordering: Relaxed — single-threaded test read.
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(calls_now(), 2);
+        // The pass of a resolve of a `Ready` city: `a`'s lease blocks
+        // the pass of `b`'s load, and `b`'s next resolve evicts `a`.
+        let lease_a = registry.resolve(&id("a")).unwrap();
+        drop(registry.resolve(&id("b")).unwrap());
+        drop(lease_a);
+        drop(registry.resolve(&id("b")).unwrap());
+        assert_eq!(calls_now(), 3, "the resolve of `b` evicts `a`");
+    }
+
+    /// A lease that blocked a load's eviction pass leaves the registry
+    /// over budget; the next resolve of a `Ready` city runs the pass
+    /// again and evicts the city the lease no longer pins.
+    #[test]
+    fn ready_resolve_evicts_what_a_blocked_pass_left() {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let registry = CityRegistry::new(id("a"), Some(1));
+        for (i, name) in ["a", "b"].iter().enumerate() {
+            registry
+                .add_city(
+                    id(name),
+                    counting_factory(i as u64 + 50, Arc::clone(&builds), Duration::ZERO),
+                )
+                .unwrap();
+        }
+        let lease_a = registry.resolve(&id("a")).unwrap();
+        drop(registry.resolve(&id("b")).unwrap());
+        assert_eq!(registry.state(&id("a")), Some(TenantState::Ready));
+        assert_eq!(registry.state(&id("b")), Some(TenantState::Ready));
+        drop(lease_a);
+        drop(registry.resolve(&id("b")).unwrap());
+        let cities = registry.cities();
+        let info = |name: &str| cities.iter().find(|c| c.city == id(name)).unwrap();
+        assert_eq!(info("a").state, TenantState::Evicted);
+        assert_eq!(info("a").evictions, 1);
+        assert_eq!(info("b").state, TenantState::Ready);
+        assert_eq!(info("b").loads, 1);
     }
 
     #[test]

@@ -166,55 +166,6 @@ fn service_admission_control_paths() {
     service.shutdown();
 }
 
-/// The acceptance scenario for the sharded engine: a server built with
-/// `shards > 1` driven by the closed-loop load generator in verify
-/// mode, where every response is checked against a locally built
-/// single-index engine — zero mismatches allowed. Also checks the
-/// stats surface reports per-shard candidate counts.
-#[test]
-fn loadgen_verifies_sharded_server() {
-    use atsq_core::Partition;
-    use atsq_service::{run_loadgen, LoadgenConfig};
-
-    let (dataset, _) = city(35);
-    let service = Service::build(
-        dataset.clone(),
-        ServiceConfig {
-            workers: 4,
-            shards: 3,
-            partition: Partition::Spatial,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let server = Server::bind(service.handle(), "127.0.0.1:0").unwrap();
-    let addr = server.local_addr().to_string();
-
-    let report = run_loadgen(
-        &addr,
-        &dataset,
-        &LoadgenConfig {
-            concurrency: 6,
-            requests: 240,
-            pool: 16,
-            k: 5,
-            verify: true,
-            ..LoadgenConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(report.incorrect, 0, "sharded answers diverged: {report}");
-    assert_eq!(report.errors, 0, "{report}");
-    assert_eq!(report.ok, 240, "{report}");
-
-    let stats = service.stats();
-    assert_eq!(stats.shard_candidates.len(), 3);
-    assert!(stats.shard_candidates.iter().sum::<u64>() > 0);
-
-    server.stop();
-    service.shutdown();
-}
-
 /// Full-stack smoke: GAT behind the service behind TCP equals GAT
 /// called directly, under concurrent TCP clients.
 #[test]
